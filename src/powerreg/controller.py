@@ -16,9 +16,14 @@ from __future__ import annotations
 
 import math
 
-from .freqset import FrequencySet
+from .freqset import FrequencySet, check_frequency
 
 DEFAULT_DERIV_FLOOR = 0.1  # watts/GHz; binds only on degenerate estimates
+
+
+def _check_floor(deriv_floor: float) -> None:
+    if not (math.isfinite(deriv_floor) and deriv_floor > 0.0):
+        raise ValueError("deriv_floor must be positive and finite")
 
 
 def gain(deriv_estimate: float, deriv_floor: float = DEFAULT_DERIV_FLOOR) -> float:
@@ -28,8 +33,7 @@ def gain(deriv_estimate: float, deriv_floor: float = DEFAULT_DERIV_FLOOR) -> flo
     """
     if not math.isfinite(deriv_estimate):
         raise ValueError("derivative estimate must be finite")
-    if not (math.isfinite(deriv_floor) and deriv_floor > 0.0):
-        raise ValueError("derivative floor must be positive and finite")
+    _check_floor(deriv_floor)
     return 1.0 / max(deriv_estimate, deriv_floor)
 
 
@@ -56,22 +60,15 @@ class IntegralController:
         deriv_floor: float = DEFAULT_DERIV_FLOOR,
         projected_state: bool = True,
     ):
-        if not (math.isfinite(deriv_floor) and deriv_floor > 0.0):
-            raise ValueError("derivative floor must be positive and finite")
+        _check_floor(deriv_floor)
         self.omega = omega
         self.deriv_floor = deriv_floor
         self.projected_state = projected_state
-        self.u_prev = 0.0
-        self.e_prev = 0.0
-        self._u_raw = 0.0
         self.reset(u0)
 
     def reset(self, u0: float) -> None:
         """Restart from frequency u0 with zero accumulated error."""
-        if not (math.isfinite(u0) and u0 > 0.0):
-            raise ValueError(f"u0 must be positive and finite, got {u0!r}")
-        if self.omega is not None and u0 not in self.omega:
-            raise ValueError(f"u0 {u0!r} is not a legal level")
+        check_frequency(u0, self.omega)
         self.u_prev = u0
         self._u_raw = u0
         self.e_prev = 0.0

@@ -30,13 +30,7 @@ class FrequencySet:
     @classmethod
     def from_list(cls, values: Iterable[float]) -> "FrequencySet":
         """Build a set from raw values: sorted ascending, duplicates dropped."""
-        vals = [float(v) for v in values]
-        if not vals:
-            raise ValueError("frequency set must not be empty")
-        for v in vals:
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"frequency level must be finite and positive, got {v!r}")
-        return cls(tuple(sorted(set(vals))))
+        return cls(tuple(sorted({float(v) for v in values})))
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -72,6 +66,15 @@ class FrequencySet:
         lo, hi = levels[i - 1], levels[i]
         # ties resolve to the lower level
         return lo if u - lo <= hi - u else hi
+
+
+def check_frequency(phi: float, omega: FrequencySet | None) -> None:
+    """Reject a frequency that is not positive and finite, or not a level of
+    omega when a frequency set is given."""
+    if not (isinstance(phi, (int, float)) and math.isfinite(phi) and phi > 0.0):
+        raise ValueError(f"frequency must be positive and finite, got {phi!r}")
+    if omega is not None and phi not in omega:
+        raise ValueError(f"frequency {phi!r} is not a legal level")
 
 
 # The 16-level ladder used as the default configuration (GHz).

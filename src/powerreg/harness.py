@@ -5,9 +5,11 @@ integral controller into the per-cycle loop: advance the plant one control
 cycle, derive average power from the energy counter, refresh the model,
 compute the next frequency, apply it. Each cycle appends one trace record.
 
-Configuration is a flat key=value text format with dotted section prefixes
-(see DEFAULT_CONFIG_TEXT for every key and its default). Traces round-trip
-through a fixed-schema CSV.
+Configuration is a flat key=value text format with dotted section prefixes.
+The schema table _SCHEMA names every key once, with its parser and its
+default; ExperimentConfig's defaults, the parsing in config_from_pairs and
+DEFAULT_CONFIG_TEXT (what `powerreg defaults` prints) all come from it.
+Traces round-trip through a fixed-schema CSV.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import math
 import statistics
 from dataclasses import dataclass, field, replace
 
-from .controller import IntegralController, gain, tracking_error
-from .freqset import DEFAULT_LEVELS, FrequencySet
+from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
+from .freqset import DEFAULT_LEVELS, FrequencySet, check_frequency
 from .plant import Plant, PlantParams
 from .sysid import CubicModel, RlsEstimator
-from .workload import KINDS, WorkloadProfile, make_profile
+from .workload import WorkloadProfile, make_profile
 
 
 class ConfigError(ValueError):
@@ -46,68 +48,185 @@ class TraceRecord:
     settled: bool
 
 
+# -- config schema ------------------------------------------------------------
+
+def _parse_float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+    return v
+
+
+def _parse_int(text: str) -> int:
+    v = float(text)
+    if not v.is_integer():
+        raise ValueError("must be an integer")
+    return int(v)
+
+
+def _parse_bool(text: str) -> bool:
+    t = text.strip().lower()
+    if t in ("true", "1", "yes", "on"):
+        return True
+    if t in ("false", "0", "no", "off"):
+        return False
+    raise ValueError("must be a boolean (true/false)")
+
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
+
+
+@dataclass
+class _Key:
+    """One config key: its parser (text to value, raising ValueError), its
+    default as `powerreg defaults` prints it, and the ExperimentConfig field
+    it sets (the key itself unless named; plant.<name> and workload.<name>
+    are fields of those parts). An optional key is printed commented out,
+    with an example value, and is unset unless given."""
+
+    name: str
+    parse: object
+    default: str
+    optional: bool = False
+    field_name: str = ""
+
+
+# Every config key, in the sections and order `powerreg defaults` prints.
+# The plant's defaults, the ladder and the derivative floor are stated by
+# the modules that own them, and only printed here.
+_SCHEMA: tuple[tuple[str, tuple[_Key, ...]], ...] = (
+    ("experiment", (
+        _Key("target_w", _parse_float, "10.0"),
+        _Key("cycle_ms", _parse_int, "10"),
+        _Key("duration_ms", _parse_float, "4000"),
+        _Key("omega", _parse_float_list, ",".join(map(str, DEFAULT_LEVELS))),
+        _Key("omega_continuous", _parse_bool, "false"),
+        _Key("u0", _parse_float, "2.0"),
+        _Key("settle_band_frac", _parse_float, "0.05"),
+        _Key("seed", _parse_int, "1"),
+        _Key("out_path", str, "trace.csv", optional=True),
+    )),
+    ("workload (unset numeric fields fall back to the kind's preset)", (
+        _Key("workload.kind", str, "constant"),
+        _Key("workload.alpha_mean", _parse_float, "1.0", optional=True),
+        _Key("workload.alpha_jitter", _parse_float, "0.05", optional=True),
+        _Key("workload.switch_period_ms", _parse_float, "40.0", optional=True),
+        _Key("workload.stall_fraction", _parse_float, "0.05", optional=True),
+        _Key("workload.stall_alpha_scale", _parse_float, "0.6", optional=True),
+    )),
+    ("plant", tuple(
+        _Key(f"plant.{name}", _parse_float, repr(value))
+        for name, value in vars(PlantParams()).items()
+    ) + (
+        _Key("plant.counter_phase", _parse_float, "0.0   (unset: drawn from the seed)",
+             optional=True, field_name="counter_phase_ms"),
+    )),
+    ("identification", (
+        _Key("rls.lambda", _parse_float, "0.98", field_name="rls_forgetting"),
+        _Key("rls.p0", _parse_float, "1e3", field_name="rls_p0"),
+        _Key("rls.x0", _parse_float_list, "0,0,0,0", field_name="rls_x0"),
+    )),
+    ("controller", (
+        _Key("controller.deriv_floor", _parse_float, str(DEFAULT_DERIV_FLOOR),
+             field_name="deriv_floor"),
+        _Key("controller.projected_state", _parse_bool, "true", field_name="projected_state"),
+    )),
+)
+
+_KEYS = {key.name: key for _, keys in _SCHEMA for key in keys}
+
+# Parsed default of every key that has one, by the field it sets.
+_DEFAULTS = {
+    key.field_name or key.name: key.parse(key.default)
+    for key in _KEYS.values() if not key.optional
+}
+
+
+def _section_text(heading: str, keys: tuple[_Key, ...]) -> str:
+    lines = [f"# {heading}"]
+    lines += [f"{'# ' if key.optional else ''}{key.name} = {key.default}" for key in keys]
+    return "\n".join(lines) + "\n"
+
+
+# What `powerreg defaults` prints: the sections, a blank line apart.
+DEFAULT_CONFIG_TEXT = "\n".join(_section_text(*section) for section in _SCHEMA)
+
+
 @dataclass
 class ExperimentConfig:
-    target_w: float = 10.0
-    cycle_ms: int = 10
-    duration_ms: float = 4000.0
-    omega: tuple[float, ...] = DEFAULT_LEVELS
-    omega_continuous: bool = False
-    u0: float = 2.0
-    workload: WorkloadProfile = field(
-        default_factory=lambda: make_profile("constant", seed=1))
+    """One experiment's settings; each default comes from the schema table.
+
+    workload None stands for the default workload kind, drawn from seed.
+    """
+
+    target_w: float = _DEFAULTS["target_w"]
+    cycle_ms: int = _DEFAULTS["cycle_ms"]
+    duration_ms: float = _DEFAULTS["duration_ms"]
+    omega: tuple[float, ...] = _DEFAULTS["omega"]
+    omega_continuous: bool = _DEFAULTS["omega_continuous"]
+    u0: float = _DEFAULTS["u0"]
+    workload: WorkloadProfile | None = None
     plant: PlantParams = field(default_factory=PlantParams)
     counter_phase_ms: float | None = None
-    rls_forgetting: float = 0.98
-    rls_p0: float = 1e3
-    rls_x0: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    deriv_floor: float = 0.1
-    projected_state: bool = True
-    settle_band_frac: float = 0.05
-    seed: int = 1
+    rls_forgetting: float = _DEFAULTS["rls_forgetting"]
+    rls_p0: float = _DEFAULTS["rls_p0"]
+    rls_x0: tuple[float, float, float, float] = _DEFAULTS["rls_x0"]
+    deriv_floor: float = _DEFAULTS["deriv_floor"]
+    projected_state: bool = _DEFAULTS["projected_state"]
+    settle_band_frac: float = _DEFAULTS["settle_band_frac"]
+    seed: int = _DEFAULTS["seed"]
     out_path: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.workload is None:
+            self.workload = make_profile(_DEFAULTS["workload.kind"], seed=self.seed)
 
     def frequency_set(self) -> FrequencySet | None:
         return None if self.omega_continuous else FrequencySet.from_list(self.omega)
 
     def validate(self) -> None:
-        if not (isinstance(self.cycle_ms, int) and self.cycle_ms >= 1):
-            raise ConfigError("cycle_ms: must be an integer number of ms, >= 1")
-        if not (math.isfinite(self.duration_ms) and self.duration_ms >= self.cycle_ms):
-            raise ConfigError("duration_ms: must be at least one control cycle")
-        if not (math.isfinite(self.target_w) and self.target_w > 0.0):
-            raise ConfigError("target_w: must be positive and finite")
-        if not 0.0 < self.settle_band_frac < 0.5:
-            raise ConfigError("settle_band_frac: must be in (0, 0.5)")
-        omega = self.frequency_set()
-        if omega is not None and self.u0 not in omega:
-            raise ConfigError(f"u0: {self.u0!r} is not a level of omega")
-        if not (math.isfinite(self.u0) and self.u0 > 0.0):
-            raise ConfigError("u0: must be positive and finite")
+        """Raise ConfigError for the first setting the loop would reject."""
+        _build_loop(self)
+
+
+def _check(section: str, build, /, *args, **kwargs):
+    """Call build, raising a ValueError from it as a ConfigError naming section."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
+def _build_loop(config: ExperimentConfig) -> tuple[Plant, RlsEstimator, IntegralController]:
+    """Check config and build the loop's plant, estimator and controller.
+
+    The loop's own settings are checked here; every other setting is checked
+    by the layer that takes it, when that layer is built.
+    """
+    if not (isinstance(config.cycle_ms, int) and config.cycle_ms >= 1):
+        raise ConfigError("cycle_ms: must be an integer number of ms, >= 1")
+    if not (math.isfinite(config.duration_ms) and config.duration_ms >= config.cycle_ms):
+        raise ConfigError("duration_ms: must be at least one control cycle")
+    if not (math.isfinite(config.target_w) and config.target_w > 0.0):
+        raise ConfigError("target_w: must be positive and finite")
+    if not 0.0 < config.settle_band_frac < 0.5:
+        raise ConfigError("settle_band_frac: must be in (0, 0.5)")
+    omega = _check("omega", config.frequency_set)
+    _check("u0", check_frequency, config.u0, omega)
+    plant = _check("plant", Plant, config.plant, config.workload, u0=config.u0,
+                   omega=omega, seed=config.seed, counter_phase_ms=config.counter_phase_ms)
+    x0 = _check("rls.x0", CubicModel.from_array, config.rls_x0)
+    estimator = _check("rls", RlsEstimator, config.rls_forgetting, config.rls_p0, x0)
+    controller = _check("controller", IntegralController, omega, config.u0,
+                        deriv_floor=config.deriv_floor,
+                        projected_state=config.projected_state)
+    return plant, estimator, controller
 
 
 def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
     """Run one closed-loop experiment and return its per-cycle trace."""
-    config.validate()
-    omega = config.frequency_set()
-    plant = Plant(
-        config.plant,
-        config.workload,
-        u0=config.u0,
-        omega=omega,
-        seed=config.seed,
-        counter_phase_ms=config.counter_phase_ms,
-    )
-    estimator = RlsEstimator(
-        forgetting=config.rls_forgetting,
-        p0=config.rls_p0,
-        x0=CubicModel(*config.rls_x0),
-    )
-    controller = IntegralController(
-        omega, config.u0,
-        deriv_floor=config.deriv_floor,
-        projected_state=config.projected_state,
-    )
+    plant, estimator, controller = _build_loop(config)
     n_cycles = int(config.duration_ms // config.cycle_ms)
     band_lo = config.target_w * (1.0 - config.settle_band_frac)
     band_hi = config.target_w * (1.0 + config.settle_band_frac)
@@ -222,140 +341,32 @@ def read_csv(path: str) -> list[TraceRecord]:
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
         for row in reader:
-            vals = [float(v) for v in row[:11]]
-            trace.append(TraceRecord(*vals, settled=row[11] == "1"))
+            if len(row) != len(CSV_COLUMNS) or row[-1] not in ("0", "1"):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: expected {len(CSV_COLUMNS)} "
+                    f"columns ending in settled 0 or 1, got {row!r}")
+            trace.append(TraceRecord(*map(float, row[:-1]), settled=row[-1] == "1"))
     return trace
 
 
 # -- config parsing -----------------------------------------------------------
 
-def _parse_float(text: str) -> float:
-    v = float(text)
-    if not math.isfinite(v):
-        raise ValueError("must be finite")
-    return v
-
-
-def _parse_int(text: str) -> int:
-    v = float(text)
-    if not v.is_integer():
-        raise ValueError("must be an integer")
-    return int(v)
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError("must be a boolean (true/false)")
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_kind(text: str) -> str:
-    if text not in KINDS:
-        raise ValueError(f"must be one of {', '.join(KINDS)}")
-    return text
-
-
-_PARSERS = {
-    "target_w": _parse_float,
-    "cycle_ms": _parse_int,
-    "duration_ms": _parse_float,
-    "omega": _parse_float_list,
-    "omega_continuous": _parse_bool,
-    "u0": _parse_float,
-    "settle_band_frac": _parse_float,
-    "seed": _parse_int,
-    "out_path": str,
-    "workload.kind": _parse_kind,
-    "workload.alpha_mean": _parse_float,
-    "workload.alpha_jitter": _parse_float,
-    "workload.switch_period_ms": _parse_float,
-    "workload.stall_fraction": _parse_float,
-    "workload.stall_alpha_scale": _parse_float,
-    "plant.cap": _parse_float,
-    "plant.v0": _parse_float,
-    "plant.m": _parse_float,
-    "plant.sigma": _parse_float,
-    "plant.kappa": _parse_float,
-    "plant.t_amb": _parse_float,
-    "plant.r_th": _parse_float,
-    "plant.tau_th": _parse_float,
-    "plant.latency_ms": _parse_float,
-    "plant.counter_phase": _parse_float,
-    "rls.lambda": _parse_float,
-    "rls.p0": _parse_float,
-    "rls.x0": _parse_float_list,
-    "controller.deriv_floor": _parse_float,
-    "controller.projected_state": _parse_bool,
-}
-
-# Keys whose defaults come from the selected workload preset.
-_WORKLOAD_OVERRIDE_KEYS = (
-    "alpha_mean", "alpha_jitter", "switch_period_ms",
-    "stall_fraction", "stall_alpha_scale",
-)
-
-# One place listing every key and its default, also shipped as documentation.
-DEFAULT_CONFIG_TEXT = """\
-# experiment
-target_w = 10.0
-cycle_ms = 10
-duration_ms = 4000
-omega = 0.8,1.0,1.1,1.3,1.5,1.7,1.8,2.0,2.2,2.4,2.5,2.7,2.9,3.1,3.2,3.4
-omega_continuous = false
-u0 = 2.0
-settle_band_frac = 0.05
-seed = 1
-# out_path = trace.csv
-
-# workload (unset numeric fields fall back to the kind's preset)
-workload.kind = constant
-# workload.alpha_mean = 1.0
-# workload.alpha_jitter = 0.05
-# workload.switch_period_ms = 40.0
-# workload.stall_fraction = 0.05
-# workload.stall_alpha_scale = 0.6
-
-# plant
-plant.cap = 2.0
-plant.v0 = 0.6
-plant.m = 0.2
-plant.sigma = 1.5
-plant.kappa = 0.005
-plant.t_amb = 40.0
-plant.r_th = 2.0
-plant.tau_th = 200.0
-plant.latency_ms = 0.0
-# plant.counter_phase = 0.0   (unset: drawn from the seed)
-
-# identification
-rls.lambda = 0.98
-rls.p0 = 1e3
-rls.x0 = 0,0,0,0
-
-# controller
-controller.deriv_floor = 0.1
-controller.projected_state = true
-"""
-
-
 def parse_pairs(text: str) -> dict[str, str]:
     """Split config text into raw key/value strings; # starts a comment."""
     pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
+        pairs[key] = value
     return pairs
 
 
@@ -366,73 +377,22 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def config_from_pairs(pairs: dict[str, str]) -> ExperimentConfig:
     """Build a validated config from raw key/value strings."""
-    values: dict[str, object] = {}
+    # The values given, split into ExperimentConfig's own fields ("") and
+    # those of its plant and workload parts.
+    given: dict[str, dict[str, object]] = {"": {}, "plant": {}, "workload": {}}
     for key, raw in pairs.items():
-        parser = _PARSERS.get(key)
-        if parser is None:
+        spec = _KEYS.get(key)
+        if spec is None:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            values[key] = parser(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+        part, _, name = (spec.field_name or key).rpartition(".")
+        given[part][name] = _check(key, spec.parse, raw)
 
-    seed = values.get("seed", 1)
-    kind = values.get("workload.kind", "constant")
-    overrides = {
-        name: values[f"workload.{name}"]
-        for name in _WORKLOAD_OVERRIDE_KEYS
-        if f"workload.{name}" in values
-    }
-    try:
-        profile = make_profile(kind, seed=seed, **overrides)
-    except ValueError as exc:
-        raise ConfigError(f"workload: {exc}") from None
-
-    plant_kwargs = {
-        name: values[f"plant.{name}"]
-        for name in ("cap", "v0", "m", "sigma", "kappa", "t_amb",
-                     "r_th", "tau_th", "latency_ms")
-        if f"plant.{name}" in values
-    }
-    try:
-        plant = PlantParams(**plant_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"plant: {exc}") from None
-
-    x0 = values.get("rls.x0", (0.0, 0.0, 0.0, 0.0))
-    if len(x0) != 4:
-        raise ConfigError("rls.x0: expected exactly 4 coefficients")
-
-    config = ExperimentConfig(
-        target_w=values.get("target_w", 10.0),
-        cycle_ms=values.get("cycle_ms", 10),
-        duration_ms=values.get("duration_ms", 4000.0),
-        omega=values.get("omega", DEFAULT_LEVELS),
-        omega_continuous=values.get("omega_continuous", False),
-        u0=values.get("u0", 2.0),
-        workload=profile,
-        plant=plant,
-        counter_phase_ms=values.get("plant.counter_phase"),
-        rls_forgetting=values.get("rls.lambda", 0.98),
-        rls_p0=values.get("rls.p0", 1e3),
-        rls_x0=tuple(x0),
-        deriv_floor=values.get("controller.deriv_floor", 0.1),
-        projected_state=values.get("controller.projected_state", True),
-        settle_band_frac=values.get("settle_band_frac", 0.05),
-        seed=seed,
-        out_path=values.get("out_path"),
-    )
-    try:
-        config.validate()
-        RlsEstimator(config.rls_forgetting, config.rls_p0, CubicModel(*config.rls_x0))
-        if config.counter_phase_ms is not None and not 0.0 <= config.counter_phase_ms < 1.0:
-            raise ConfigError("plant.counter_phase: must be in [0, 1)")
-        if config.deriv_floor <= 0.0 or not math.isfinite(config.deriv_floor):
-            raise ConfigError("controller.deriv_floor: must be positive and finite")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = ExperimentConfig(plant=_check("plant", PlantParams, **given["plant"]), **given[""])
+    workload = given["workload"]
+    if workload:
+        kind = workload.pop("kind", config.workload.kind)
+        config.workload = _check("workload", make_profile, kind, config.seed, **workload)
+    config.validate()
     return config
 
 

@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .freqset import FrequencySet
+from .freqset import FrequencySet, check_frequency
 from .workload import WorkloadProfile
 
 # Integration sub-step (forward Euler) upper bound, microseconds.
@@ -109,7 +109,7 @@ class Plant:
         self.params = params
         self.profile = profile
         self.omega = omega
-        self._check_freq(u0)
+        check_frequency(u0, omega)
         self.freq = u0
         self.alpha = profile.sample_alpha(0.0)
         self.temp = params.t_amb
@@ -120,9 +120,8 @@ class Plant:
         else:
             if not 0.0 <= counter_phase_ms < 1.0:
                 raise ValueError("counter_phase_ms must be in [0, 1)")
-            self._phase_us = int(round(counter_phase_ms * 1000.0))
-        if self._phase_us == 0:
-            self.counter_joules = self.energy_acc
+            # A phase that rounds up to a whole grid period is phase 0.
+            self._phase_us = int(round(counter_phase_ms * 1000.0)) % _GRID_US
         self._clock_us = 0
         self._pending: list[tuple[int, float]] = []
         self._next_alpha_us = self._alpha_change_after(0)
@@ -146,7 +145,7 @@ class Plant:
 
     def apply_frequency(self, phi: float) -> None:
         """Command a frequency; takes effect after the configured latency."""
-        self._check_freq(phi)
+        check_frequency(phi, self.omega)
         if self.params.latency_ms <= 0.0:
             self.freq = phi
         else:
@@ -172,12 +171,6 @@ class Plant:
             self._fire_events()
 
     # -- internals ---------------------------------------------------------
-
-    def _check_freq(self, phi: float) -> None:
-        if not (isinstance(phi, (int, float)) and math.isfinite(phi) and phi > 0.0):
-            raise ValueError(f"frequency must be positive and finite, got {phi!r}")
-        if self.omega is not None and phi not in self.omega:
-            raise ValueError(f"frequency {phi!r} is not a legal level")
 
     def _alpha_change_after(self, clock_us: int) -> int | None:
         nxt_ms = self.profile.next_change_ms(clock_us / 1000.0)

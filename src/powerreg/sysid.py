@@ -65,8 +65,7 @@ class RlsEstimator:
     make the first measurements dominate the prior.
     """
 
-    def __init__(self, forgetting: float = 0.98, p0: float = 1e3,
-                 x0: CubicModel | None = None):
+    def __init__(self, forgetting: float, p0: float, x0: CubicModel | None = None):
         if not (math.isfinite(forgetting) and 0.0 < forgetting <= 1.0):
             raise ValueError("forgetting factor must be in (0, 1]")
         if not (math.isfinite(p0) and p0 > 0.0):

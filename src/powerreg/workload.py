@@ -169,8 +169,6 @@ class WorkloadProfile:
 
 def make_profile(kind: str, seed: int, **overrides: float) -> WorkloadProfile:
     """Build a profile from a kind's preset, optionally overriding fields."""
-    if kind not in _PRESETS:
-        raise ValueError(f"unknown workload kind {kind!r}; expected one of {KINDS}")
-    params: dict = dict(_PRESETS[kind])
+    params: dict = dict(_PRESETS.get(kind, {}))  # WorkloadProfile rejects an unknown kind
     params.update(overrides)
     return WorkloadProfile(kind=kind, seed=seed, **params)

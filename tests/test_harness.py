@@ -6,12 +6,14 @@ import pytest
 from powerreg.freqset import DEFAULT_LEVELS
 from powerreg.harness import (
     CSV_COLUMNS,
+    DEFAULT_CONFIG_TEXT,
     ConfigError,
     ExperimentConfig,
     TraceRecord,
     config_from_pairs,
     mean_frequency,
     parse_config,
+    parse_pairs,
     read_csv,
     run_experiment,
     run_sweep,
@@ -105,6 +107,26 @@ class TestParseConfig:
     def test_omega_parsing_dedupes(self):
         cfg = parse_config("omega=2.0,1.0,1.0\nu0=1.0")
         assert cfg.frequency_set().levels == (1.0, 2.0)
+
+    def test_defaults_are_stated_once(self):
+        assert ExperimentConfig() == parse_config("") == parse_config(DEFAULT_CONFIG_TEXT)
+        assert ExperimentConfig(seed=5) == parse_config("seed=5")
+        assert ExperimentConfig(seed=5).workload.seed == 5
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 3: 'target_w' is already set on line 1"):
+            parse_pairs("target_w=5\ncycle_ms=10\ntarget_w=7")
+
+    @pytest.mark.parametrize("changes,key", [
+        (dict(deriv_floor=0.0), "deriv_floor"),
+        (dict(counter_phase_ms=1.5), "counter_phase"),
+        (dict(rls_forgetting=0.0), "forgetting"),
+        (dict(rls_x0=(1.0, 2.0, 3.0)), "rls.x0"),
+    ])
+    def test_validate_reaches_each_owner(self, changes, key):
+        # A config built directly, not parsed, is checked by the same rules.
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**changes).validate()
 
 
 class TestRunExperiment:
@@ -225,6 +247,18 @@ class TestCsv:
                 a, b = getattr(orig, name), getattr(rt, name)
                 assert b == pytest.approx(a, rel=1e-5, abs=1e-9)
             assert rt.settled == orig.settled
+
+    @pytest.mark.parametrize("row", [
+        "0,2,10,10,0,0.25,0,0,0,0,4",          # short row
+        "0,2,10,10,0,0.25,0,0,0,0,4,1,extra",  # extra column
+        "0,2,10,10,0,0.25,0,0,0,0,4,yes",      # settled not 0/1
+    ])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        good = "0,2,10,10,0,0.25,0,0,0,0,4,1"
+        path.write_text(",".join(CSV_COLUMNS) + f"\n{good}\n{row}\n")
+        with pytest.raises(ValueError, match=rf"t\.csv, line 3: expected 12 columns"):
+            read_csv(str(path))
 
     def test_write_failure_carries_path(self, tmp_path):
         with pytest.raises(OSError):

@@ -192,6 +192,22 @@ class TestEnergyCounter:
         true_avg = exact.energy_acc / 10e-3
         assert abs(derived - true_avg) <= (1.0 / 10.0) * p_max
 
+    def test_phase_rounding_up_to_a_full_period_is_phase_zero(self):
+        # 0.9996 ms rounds to 1000 us, one whole grid period: the snapshot
+        # instants are those of phase 0, and so is every reading.
+        readings = {}
+        for phase in (0.9996, 0.0):
+            plant = Plant(ten_watt_params(), constant_profile(), u0=2.0,
+                          omega=DEFAULT_OMEGA, counter_phase_ms=phase)
+            assert 0.0 <= plant.counter_phase_ms < 1.0
+            rng = random.Random(5)
+            readings[phase] = []
+            for _ in range(50):
+                plant.advance(rng.choice((0.3, 1.0, 2.7)))
+                plant.apply_frequency(rng.choice(DEFAULT_OMEGA.levels))
+                readings[phase].append(plant.read_energy())
+        assert readings[0.9996] == readings[0.0]
+
     def test_counter_never_decreases(self):
         rng = random.Random(77)
         plant = Plant(PlantParams(), make_profile("memory_bound", seed=13),

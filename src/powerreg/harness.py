@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import statistics
 from dataclasses import dataclass, field, replace
 
@@ -352,11 +353,12 @@ def read_csv(path: str) -> list[TraceRecord]:
 # -- config parsing -----------------------------------------------------------
 
 def parse_pairs(text: str) -> dict[str, str]:
-    """Split config text into raw key/value strings; # starts a comment."""
+    """Split config text into raw key/value strings; a # after whitespace or
+    at the start of a line starts a comment, so a value may contain #."""
     pairs: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

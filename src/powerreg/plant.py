@@ -11,10 +11,13 @@ Energy is exposed the way commodity hardware exposes it: a counter that
 updates only on a 1 ms grid whose phase is unknown to the consumer. Callers
 derive average power as delta(counter) / delta(time).
 
-Time is tracked in integer microseconds and integration is event-driven:
-activity switches, counter-grid instants, and pending frequency changes are
-hit exactly, with forward-Euler sub-steps of at most 0.1 ms in between. The
-class implements the same apply/advance/read seam a hardware driver would.
+Time is tracked in integer microseconds. Between events (activity switches
+and pending frequency changes) alpha and phi are constant, so the thermal
+ODE is linear and temperature and energy are advanced in one exact
+closed-form step per event. A read sees only the last grid instant at or
+before the end of an advance, so that is the one instant at which the
+counter is snapshotted. The class implements the same apply/advance/read
+seam a hardware driver would.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from dataclasses import dataclass
 from .freqset import FrequencySet, check_frequency
 from .workload import WorkloadProfile
 
-# Integration sub-step (forward Euler) upper bound, microseconds.
-_SUBSTEP_US = 100
 # Energy counter grid period, microseconds.
 _GRID_US = 1000
 
@@ -63,6 +64,7 @@ class PlantParams:
             (self.v0 > 0.0, "v0 must be > 0"),
             (self.m >= 0.0, "m must be >= 0"),
             (self.sigma >= 0.0, "sigma must be >= 0"),
+            (self.kappa >= 0.0, "kappa must be >= 0"),
             (self.tau_th > 0.0, "tau_th must be > 0"),
             (self.r_th >= 0.0, "r_th must be >= 0"),
             (0.0 <= self.latency_ms <= 5.0, "latency_ms must be in [0, 5]"),
@@ -125,7 +127,6 @@ class Plant:
         self._clock_us = 0
         self._pending: list[tuple[int, float]] = []
         self._next_alpha_us = self._alpha_change_after(0)
-        self._substep_us = max(1, min(_SUBSTEP_US, int(params.tau_th * 1000.0)))
 
     # -- contract surface -------------------------------------------------
 
@@ -164,54 +165,50 @@ class Plant:
         if dt_us < 1:
             raise ValueError("dt_ms must be at least 1 microsecond")
         end_us = self._clock_us + dt_us
-        while self._clock_us < end_us:
-            event_us = min(end_us, self._next_grid_us(), self._next_alpha_or(end_us),
-                           self._next_pending_or(end_us))
-            self._integrate_to(event_us)
-            self._fire_events()
+        # The last grid instant at or before end_us; earlier ones are
+        # overwritten before anyone can read them.
+        snap_us = end_us - (end_us - self._phase_us) % _GRID_US
+        if snap_us > self._clock_us:
+            self._run_to(snap_us)
+            self.counter_joules = self.energy_acc
+        self._run_to(end_us)
 
     # -- internals ---------------------------------------------------------
 
-    def _alpha_change_after(self, clock_us: int) -> int | None:
+    def _alpha_change_after(self, clock_us: int) -> float:
         nxt_ms = self.profile.next_change_ms(clock_us / 1000.0)
         if math.isinf(nxt_ms):
-            return None
-        nxt_us = math.ceil(nxt_ms * 1000.0)
-        return max(nxt_us, clock_us + 1)
+            return math.inf
+        return max(math.ceil(nxt_ms * 1000.0), clock_us + 1)
 
-    def _next_grid_us(self) -> int:
-        if self._clock_us < self._phase_us:
-            return self._phase_us
-        k = (self._clock_us - self._phase_us) // _GRID_US + 1
-        return self._phase_us + k * _GRID_US
-
-    def _next_alpha_or(self, default: int) -> int:
-        return self._next_alpha_us if self._next_alpha_us is not None else default
-
-    def _next_pending_or(self, default: int) -> int:
-        return self._pending[0][0] if self._pending else default
+    def _run_to(self, end_us: int) -> None:
+        while self._clock_us < end_us:
+            due_us = self._pending[0][0] if self._pending else math.inf
+            self._integrate_to(min(end_us, self._next_alpha_us, due_us))
+            self._fire_events()
 
     def _integrate_to(self, event_us: int) -> None:
+        # With x = temp - t_amb, power is q + g*x and tau*x' = r_th*q - beta*x.
         p = self.params
         v = p.voltage(self.freq)
-        p_dyn = self.alpha * p.cap * v * v * self.freq
         sv = p.sigma * v
-        kappa, t_amb, r_th, tau = p.kappa, p.t_amb, p.r_th, p.tau_th
-        clock, temp, energy = self._clock_us, self.temp, self.energy_acc
-        while clock < event_us:
-            step = min(self._substep_us, event_us - clock)
-            # non-negative: extreme kappa configs must not drain the counter
-            power = max(0.0, p_dyn + sv * (1.0 + kappa * (temp - t_amb)))
-            energy += power * step * 1e-6
-            temp += (power * r_th - (temp - t_amb)) * (step * 1e-3 / tau)
-            clock += step
-        self._clock_us, self.temp, self.energy_acc = clock, temp, energy
+        q = self.alpha * p.cap * v * v * self.freq + sv
+        g = sv * p.kappa
+        beta = 1.0 - p.r_th * g
+        if beta <= 0.0:
+            raise ValueError("thermal runaway: leakage feedback gain >= 1")
+        t_ms = (event_us - self._clock_us) * 1e-3
+        x = self.temp - p.t_amb
+        dx = (p.r_th * q / beta - x) * -math.expm1(-beta * t_ms / p.tau_th)
+        # kappa >= 0 and temp >= t_amb keep power >= q > 0: no clamp needed.
+        # Energy from tau*dx = r_th*E - integral(x dt), in mJ, then J.
+        self.energy_acc += (q * t_ms - g * p.tau_th * dx) / beta * 1e-3
+        self.temp += dx
+        self._clock_us = event_us
 
     def _fire_events(self) -> None:
         now = self._clock_us
-        if now >= self._phase_us and (now - self._phase_us) % _GRID_US == 0:
-            self.counter_joules = self.energy_acc
-        if self._next_alpha_us is not None and now >= self._next_alpha_us:
+        if now >= self._next_alpha_us:
             self.alpha = self.profile.sample_alpha(now / 1000.0)
             self._next_alpha_us = self._alpha_change_after(now)
         while self._pending and self._pending[0][0] <= now:

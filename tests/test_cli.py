@@ -19,6 +19,13 @@ class TestRun:
         stdout = capsys.readouterr().out
         assert "records=40" in stdout
 
+    def test_config_file_path_may_contain_hash(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "run#1.csv"
+        cfg.write_text(f"duration_ms = 400\nout_path = {out}  # trace\n")
+        assert run_cli("run", "--config", str(cfg)) == 0
+        assert len(read_csv(str(out))) == 40
+
     def test_set_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("duration_ms = 400\n")

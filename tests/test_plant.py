@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerreg.freqset import DEFAULT_OMEGA
+from powerreg.oracles import first_order_rise
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
@@ -139,6 +141,48 @@ class TestAdvance:
         expected = params.t_amb + 10.0 * params.r_th * (1.0 - math.exp(-1.0))
         assert plant.temp == pytest.approx(expected, rel=0.01)
 
+    @pytest.mark.parametrize("t_ms", [1.0, 100.0, 700.0])
+    def test_kappa_zero_rise_is_exact(self, t_ms):
+        # constant 10 W: the closed-form step is exact, not just first-order
+        params = ten_watt_params()
+        plant = Plant(params, constant_profile(), u0=2.0, counter_phase_ms=0.0)
+        plant.advance(t_ms)
+        expected = first_order_rise(10.0, params.r_th, params.tau_th, t_ms)
+        assert plant.temp - params.t_amb == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(1, 10_000), latency_ms=st.sampled_from([0.0, 1.3]),
+           warmup_us=st.integers(1, 20_000), total_us=st.integers(1, 20_000),
+           cuts=st.lists(st.integers(1, 19_999), max_size=12),
+           level=st.sampled_from(DEFAULT_OMEGA.levels))
+    def test_split_advance_matches_one_advance(self, seed, latency_ms, warmup_us,
+                                               total_us, cuts, level):
+        # how an interval is cut into advance calls must not change the state
+        bounds = sorted({c for c in cuts if c < total_us} | {0, total_us})
+        pieces = [b - a for a, b in zip(bounds, bounds[1:])]
+        plants = []
+        for steps in ([total_us], pieces):
+            plant = Plant(PlantParams(latency_ms=latency_ms),
+                          make_profile("graph_irregular", seed=seed), u0=2.0,
+                          omega=DEFAULT_OMEGA, seed=seed)
+            plant.advance(warmup_us / 1000.0)
+            plant.apply_frequency(level)
+            for step_us in steps:
+                plant.advance(step_us / 1000.0)
+            plants.append(plant)
+        one, split = plants
+        assert split.clock_ms == one.clock_ms
+        assert split.energy_acc == pytest.approx(one.energy_acc, rel=1e-12)
+        assert split.temp == pytest.approx(one.temp, rel=1e-12)
+        assert split.read_energy() == pytest.approx(one.read_energy(), rel=1e-12)
+
+    def test_thermal_runaway_raises(self):
+        # sigma*V*kappa*r_th = 1.5*1.28*0.3*2 = 1.15 at 3.4 GHz: beta < 0
+        plant = Plant(PlantParams(kappa=0.3), constant_profile(), u0=3.4,
+                      counter_phase_ms=0.0)
+        with pytest.raises(ValueError, match="thermal runaway"):
+            plant.advance(1.0)
+
     def test_rejects_bad_dt(self):
         plant = Plant(PlantParams(), constant_profile(), u0=2.0, counter_phase_ms=0.0)
         for dt in (0.0, -1.0, float("nan"), float("inf")):
@@ -273,6 +317,7 @@ class TestParams:
         dict(cap=0.0), dict(cap=-1.0), dict(v0=0.0), dict(m=-0.1),
         dict(sigma=-0.5), dict(tau_th=0.0), dict(r_th=-1.0),
         dict(latency_ms=-1.0), dict(latency_ms=6.0), dict(t_amb=float("nan")),
+        dict(kappa=-0.01),
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):

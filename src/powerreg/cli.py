@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness, oracles
+from . import harness
 from .freqset import DEFAULT_LEVELS
 from .harness import ConfigError, ExperimentConfig
 from .plant import PlantParams
@@ -97,6 +97,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    # oracles needs numpy; importing it here keeps numpy off the import path
+    # of every other command.
+    from . import oracles
+
     params = PlantParams()
     print("# nearest-level projection (brute force over the default ladder)")
     for u in (0.5, 1.9, 2.55, 3.9):

@@ -32,6 +32,8 @@ from .workload import WorkloadProfile
 # Energy counter grid period, microseconds.
 _GRID_US = 1000
 
+_RUNAWAY = "thermal runaway: leakage feedback gain >= 1"
+
 
 @dataclass(frozen=True)
 class PlantParams:
@@ -112,6 +114,12 @@ class Plant:
         self.profile = profile
         self.omega = omega
         check_frequency(u0, omega)
+        if omega is not None:
+            # beta falls as phi rises (see _integrate_to), so the top level
+            # is the first to run away.
+            top = omega.max_level
+            if 1.0 - params.r_th * params.sigma * params.voltage(top) * params.kappa <= 0.0:
+                raise ValueError(f"{_RUNAWAY} at {top} GHz")
         self.freq = u0
         self.alpha = profile.sample_alpha(0.0)
         self.temp = params.t_amb
@@ -196,7 +204,7 @@ class Plant:
         g = sv * p.kappa
         beta = 1.0 - p.r_th * g
         if beta <= 0.0:
-            raise ValueError("thermal runaway: leakage feedback gain >= 1")
+            raise ValueError(_RUNAWAY)
         t_ms = (event_us - self._clock_us) * 1e-3
         x = self.temp - p.t_amb
         dx = (p.r_th * q / beta - x) * -math.expm1(-beta * t_ms / p.tau_th)

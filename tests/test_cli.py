@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import powerreg
 from powerreg import cli
 from powerreg.harness import read_csv
 
@@ -64,6 +69,12 @@ class TestRun:
     def test_missing_config_file_exits_3(self):
         assert run_cli("run", "--config", "/nonexistent/exp.cfg") == 3
 
+    def test_thermal_runaway_at_top_level_is_a_config_error(self, capsys):
+        # beta < 0 at 3.4 GHz; the loop would only reach it mid-run
+        assert run_cli("run", "--set", "plant.kappa=0.3") == 2
+        assert ("config error: plant: thermal runaway"
+                in capsys.readouterr().err)
+
 
 class TestSweep:
     def test_sweep_writes_summary(self, tmp_path, capsys):
@@ -96,6 +107,15 @@ class TestDefaults:
         assert "cycle_ms = 10" in out
         from powerreg.harness import parse_config
         parse_config(out)
+
+
+def test_import_path_loads_no_numpy():
+    src = os.path.dirname(os.path.dirname(powerreg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, powerreg, powerreg.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_requires_subcommand():

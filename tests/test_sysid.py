@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from powerreg.freqset import DEFAULT_LEVELS
 from powerreg.sysid import CubicModel, RlsEstimator
 
 
@@ -25,6 +27,19 @@ def regularized_batch(phis, ys, lam, p0, x0=np.zeros(4)):
     gram = (h * w[:, None]).T @ h + (lam**n / p0) * np.eye(4)
     rhs = (h * w[:, None]).T @ np.asarray(ys, float) + (lam**n / p0) * x0
     return np.linalg.solve(gram, rhs)
+
+
+def textbook_rls(samples, lam, p0):
+    """The covariance-form RLS recursion on numpy arrays."""
+    x = np.zeros(4)
+    p = p0 * np.eye(4)
+    for phi, y in samples:
+        h = np.array([phi**3, phi**2, phi, 1.0])
+        g = p @ h
+        k = g / (lam + h @ g)
+        x = x + k * (y - h @ x)
+        p = (p - np.outer(k, g)) / lam
+    return x, p
 
 
 FIVE_PHIS = [0.8, 1.5, 2.2, 2.9, 3.4]
@@ -103,6 +118,32 @@ class TestUpdate:
         assert est.model == x
         assert np.array_equal(est.P, p)
         assert est.sample_count == n
+
+    def test_degenerate_covariance_is_named_and_leaves_state(self):
+        # p0 * h'h overflows: lambda + h'Ph is inf on the first sample
+        est = RlsEstimator(0.98, 1e307)
+        x, p = est.model, est.P.copy()
+        with pytest.raises(ValueError, match="RLS covariance"):
+            est.update(3.4, 10.0)
+        assert est.model == x
+        assert np.array_equal(est.P, p)
+        assert est.sample_count == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=st.floats(0.9, 1.0), p0=st.floats(1.0, 1e4),
+           samples=st.lists(st.tuples(st.sampled_from(DEFAULT_LEVELS),
+                                      st.floats(0.0, 20.0)),
+                            min_size=1, max_size=40))
+    def test_matches_textbook_recursion(self, lam, p0, samples):
+        est = RlsEstimator(lam, p0)
+        for phi, y in samples:
+            est.update(phi, y)
+        x, p = textbook_rls(samples, lam, p0)
+        got = est.model.as_array()
+        assert np.max(np.abs(got - x)) <= 1e-7 * np.max(np.abs(x))
+        assert est.P.shape == (4, 4)
+        assert np.array_equal(est.P, est.P.T)
+        assert np.max(np.abs(est.P - p)) <= 1e-7 * np.max(np.abs(p))
 
 
 class TestOracleEquivalence:

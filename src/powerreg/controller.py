@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .freqset import FrequencySet, check_frequency
+from .freqset import FrequencyRange, FrequencySet, check_frequency
 
 DEFAULT_DERIV_FLOOR = 0.1  # watts/GHz; binds only on degenerate estimates
 
@@ -55,7 +55,7 @@ class IntegralController:
 
     def __init__(
         self,
-        omega: FrequencySet | None,
+        omega: FrequencySet | FrequencyRange | None,
         u0: float,
         deriv_floor: float = DEFAULT_DERIV_FLOOR,
         projected_state: bool = True,

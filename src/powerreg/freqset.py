@@ -1,4 +1,9 @@
-"""Legal clock-frequency sets and nearest-level projection."""
+"""Legal clock frequencies: a ladder of levels, or a continuous range.
+
+Both kinds offer the same surface to the loop: `project` maps a command to a
+legal frequency, `in` tests legality, and `min_level`/`max_level` give the
+bounds.
+"""
 
 from __future__ import annotations
 
@@ -68,9 +73,38 @@ class FrequencySet:
         return lo if u - lo <= hi - u else hi
 
 
-def check_frequency(phi: float, omega: FrequencySet | None) -> None:
-    """Reject a frequency that is not positive and finite, or not a level of
-    omega when a frequency set is given."""
+@dataclass(frozen=True)
+class FrequencyRange:
+    """Closed interval [min_level, max_level] of legal frequencies, in GHz.
+
+    The actuator range of continuous-frequency operation: any frequency in
+    the interval is legal, and commands outside it clamp to the nearest
+    bound.
+    """
+
+    min_level: float
+    max_level: float
+
+    def __post_init__(self) -> None:
+        lo, hi = self.min_level, self.max_level
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
+            raise ValueError(
+                f"frequency range must be finite and positive with min <= max, "
+                f"got [{lo!r}, {hi!r}]")
+
+    def __contains__(self, value: float) -> bool:
+        return self.min_level <= value <= self.max_level
+
+    def project(self, u: float) -> float:
+        """Clamp a real-valued frequency command into the range."""
+        if not math.isfinite(u):
+            raise ValueError(f"cannot project non-finite frequency {u!r}")
+        return min(max(u, self.min_level), self.max_level)
+
+
+def check_frequency(phi: float, omega: FrequencySet | FrequencyRange | None) -> None:
+    """Reject a frequency that is not positive and finite, or not legal in
+    omega when one is given."""
     if not (isinstance(phi, (int, float)) and math.isfinite(phi) and phi > 0.0):
         raise ValueError(f"frequency must be positive and finite, got {phi!r}")
     if omega is not None and phi not in omega:

@@ -19,9 +19,10 @@ import math
 import re
 import statistics
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
-from .freqset import DEFAULT_LEVELS, FrequencySet, check_frequency
+from .freqset import DEFAULT_LEVELS, FrequencyRange, FrequencySet, check_frequency
 from .plant import Plant, PlantParams
 from .sysid import CubicModel, RlsEstimator
 from .workload import WorkloadProfile, make_profile
@@ -31,7 +32,7 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or violated config invariants."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One control cycle: what ran, what was measured, what the loop computed."""
 
@@ -183,8 +184,12 @@ class ExperimentConfig:
         if self.workload is None:
             self.workload = make_profile(_DEFAULTS["workload.kind"], seed=self.seed)
 
-    def frequency_set(self) -> FrequencySet | None:
-        return None if self.omega_continuous else FrequencySet.from_list(self.omega)
+    def frequency_set(self) -> FrequencySet | FrequencyRange:
+        """The ladder omega, or in continuous mode the range it spans."""
+        levels = FrequencySet.from_list(self.omega)
+        if self.omega_continuous:
+            return FrequencyRange(levels.min_level, levels.max_level)
+        return levels
 
     def validate(self) -> None:
         """Raise ConfigError for the first setting the loop would reject."""
@@ -318,19 +323,19 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
+# One trace row, from the TraceRecord fields CSV_COLUMNS names: "%.6g" gives
+# the same text as _fmt for every float (signed zeros, infinities and nan
+# included), and no field needs CSV quoting.
+_ROW = ",".join(["%.6g"] * (len(CSV_COLUMNS) - 1) + ["%d"]) + "\n"
+_row_fields = attrgetter(*CSV_COLUMNS)
+
+
 def write_csv(trace: list[TraceRecord], path: str) -> None:
     """Write a trace to CSV: header plus one row per cycle, 6 significant digits."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in trace:
-            writer.writerow([
-                _fmt(rec.t_ms), _fmt(rec.freq_ghz), _fmt(rec.power_w),
-                _fmt(rec.target_w), _fmt(rec.error_w), _fmt(rec.gain),
-                _fmt(rec.coeff_a), _fmt(rec.coeff_b), _fmt(rec.coeff_c),
-                _fmt(rec.coeff_d), _fmt(rec.deriv_est),
-                "1" if rec.settled else "0",
-            ])
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        # Streamed row by row: joining the whole trace first costs its size in memory.
+        fh.writelines(_ROW % _row_fields(rec) for rec in trace)
 
 
 def read_csv(path: str) -> list[TraceRecord]:

@@ -14,9 +14,11 @@ derive average power as delta(counter) / delta(time).
 Time is tracked in integer microseconds. Between events (activity switches
 and pending frequency changes) alpha and phi are constant, so the thermal
 ODE is linear and temperature and energy are advanced in one exact
-closed-form step per event. A read sees only the last grid instant at or
-before the end of an advance, so that is the one instant at which the
-counter is snapshotted. The class implements the same apply/advance/read
+closed-form step per event. The step's coefficients depend only on the
+operating point (phi, alpha), so they are cached and recomputed only when
+phi or alpha differs from the values they were computed for. A read sees
+only the last grid instant at or before the end of an advance, so that is
+the one instant at which the counter is snapshotted. The class implements the same apply/advance/read
 seam a hardware driver would.
 """
 
@@ -26,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .freqset import FrequencySet, check_frequency
+from .freqset import FrequencyRange, FrequencySet, check_frequency
 from .workload import WorkloadProfile
 
 # Energy counter grid period, microseconds.
@@ -96,9 +98,9 @@ class PlantParams:
 class Plant:
     """Simulated processor with an energy counter and a thermal state.
 
-    Owned by a single experiment loop. A frequency set may be supplied to
-    enforce legal operating points; omit it to run with continuous
-    frequencies.
+    Owned by a single experiment loop. A frequency set or range may be
+    supplied to enforce legal operating points; omit it to accept any
+    positive frequency.
     """
 
     def __init__(
@@ -106,7 +108,7 @@ class Plant:
         params: PlantParams,
         profile: WorkloadProfile,
         u0: float,
-        omega: FrequencySet | None = None,
+        omega: FrequencySet | FrequencyRange | None = None,
         seed: int = 0,
         counter_phase_ms: float | None = None,
     ):
@@ -133,6 +135,11 @@ class Plant:
             # A phase that rounds up to a whole grid period is phase 0.
             self._phase_us = int(round(counter_phase_ms * 1000.0)) % _GRID_US
         self._clock_us = 0
+        # The operating point of the last integration and its step
+        # coefficients: (freq, alpha, q, g*tau, beta, -beta, r_th*q/beta).
+        # No operating point matches (None, None), so the first integration
+        # computes them.
+        self._op: tuple = (None, None)
         self._pending: list[tuple[int, float]] = []
         self._next_alpha_us = self._alpha_change_after(0)
 
@@ -196,21 +203,28 @@ class Plant:
             self._fire_events()
 
     def _integrate_to(self, event_us: int) -> None:
-        # With x = temp - t_amb, power is q + g*x and tau*x' = r_th*q - beta*x.
         p = self.params
-        v = p.voltage(self.freq)
-        sv = p.sigma * v
-        q = self.alpha * p.cap * v * v * self.freq + sv
-        g = sv * p.kappa
-        beta = 1.0 - p.r_th * g
-        if beta <= 0.0:
-            raise ValueError(_RUNAWAY)
+        freq, alpha = self.freq, self.alpha
+        op = self._op
+        if freq == op[0] and alpha == op[1]:
+            _, _, q, g_tau, beta, nbeta, x_inf = op
+        else:
+            # With x = temp - t_amb, power is q + g*x and tau*x' = r_th*q - beta*x.
+            v = p.voltage(freq)
+            sv = p.sigma * v
+            q = alpha * p.cap * v * v * freq + sv
+            g = sv * p.kappa
+            beta = 1.0 - p.r_th * g
+            if beta <= 0.0:
+                raise ValueError(_RUNAWAY)
+            g_tau, nbeta, x_inf = g * p.tau_th, -beta, p.r_th * q / beta
+            self._op = (freq, alpha, q, g_tau, beta, nbeta, x_inf)
         t_ms = (event_us - self._clock_us) * 1e-3
         x = self.temp - p.t_amb
-        dx = (p.r_th * q / beta - x) * -math.expm1(-beta * t_ms / p.tau_th)
+        dx = (x_inf - x) * -math.expm1(nbeta * t_ms / p.tau_th)
         # kappa >= 0 and temp >= t_amb keep power >= q > 0: no clamp needed.
         # Energy from tau*dx = r_th*E - integral(x dt), in mJ, then J.
-        self.energy_acc += (q * t_ms - g * p.tau_th * dx) / beta * 1e-3
+        self.energy_acc += (q * t_ms - g_tau * dx) / beta * 1e-3
         self.temp += dx
         self._clock_us = event_us
 

@@ -10,7 +10,8 @@ the symmetric 4x4 covariance P is held as its 10 unique entries (upper
 triangle, row by row) and each step is unrolled, with no array library on
 the decision path. P stays symmetric by construction. numpy is imported only
 when a caller asks for an array view (`RlsEstimator.P`,
-`CubicModel.as_array`).
+`CubicModel.as_array`). The model is an immutable named tuple of finite
+coefficients, so the update's one new model per cycle is a tuple build.
 
 Frequencies are expected in GHz. That keeps the regressor (phi^3, phi^2,
 phi, 1) well conditioned (phi^3 <= ~40 on commodity parts); feeding Hz-scale
@@ -20,26 +21,46 @@ values would destroy the conditioning of the covariance update.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class CubicModel:
-    """Coefficients of the cubic power model, highest degree first."""
+def _check_coefficients(a: float, b: float, c: float, d: float) -> None:
+    """Raise a ValueError naming the first coefficient that is not finite."""
+    isfinite = math.isfinite
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        name = next(n for n, v in zip("abcd", (a, b, c, d)) if not isfinite(v))
+        raise ValueError(f"coefficient {name} must be finite")
 
+
+class _Coefficients(NamedTuple):
     a: float = 0.0
     b: float = 0.0
     c: float = 0.0
     d: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"coefficient {name} must be finite")
+
+class CubicModel(_Coefficients):
+    """Coefficients of the cubic power model, highest degree first.
+
+    An immutable named tuple whose coefficients are all finite: it is
+    hashable, equal by value and picklable, and it also compares equal to
+    the plain 4-tuple (a, b, c, d).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: float = 0.0, b: float = 0.0, c: float = 0.0,
+                d: float = 0.0) -> "CubicModel":
+        _check_coefficients(a, b, c, d)
+        return tuple.__new__(cls, (a, b, c, d))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> "CubicModel":
+        # Route `_make` and `_replace` through the finiteness check too.
+        return cls(*iterable)
 
     def predict(self, phi: float) -> float:
         """Model power at frequency phi, watts."""
@@ -120,9 +141,12 @@ class RlsEstimator:
             raise ValueError(
                 f"RLS covariance is degenerate: lambda + h'Ph = {den!r} at {phi} GHz")
         k0, k1, k2, k3 = g0 / den, g1 / den, g2 / den, g3 / den
-        m = self.model
-        e = power - (h3 * m.a + h2 * m.b + phi * m.c + m.d)
-        self.model = CubicModel(m.a + k0 * e, m.b + k1 * e, m.c + k2 * e, m.d + k3 * e)
+        ma, mb, mc, md = self.model
+        e = power - (h3 * ma + h2 * mb + phi * mc + md)
+        a, b, c, d = ma + k0 * e, mb + k1 * e, mc + k2 * e, md + k3 * e
+        _check_coefficients(a, b, c, d)
+        # Checked just above, so the model skips CubicModel.__new__'s check.
+        self.model = tuple.__new__(CubicModel, (a, b, c, d))
         self._p = ((p00 - k0 * g0) / lam, (p01 - k0 * g1) / lam,
                    (p02 - k0 * g2) / lam, (p03 - k0 * g3) / lam,
                    (p11 - k1 * g1) / lam, (p12 - k1 * g2) / lam,

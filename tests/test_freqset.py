@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA, FrequencySet
+from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA, FrequencyRange, FrequencySet
 
 
 def brute_nearest(levels, u):
@@ -102,3 +102,34 @@ def test_contains_is_exact():
     assert 2.9 in DEFAULT_OMEGA
     assert 0.9 not in DEFAULT_OMEGA
     assert math.nextafter(2.9, 3.0) not in DEFAULT_OMEGA
+
+
+class TestFrequencyRange:
+    def test_project_clamps_to_the_bounds(self):
+        r = FrequencyRange(0.8, 3.4)
+        assert r.project(-0.03) == 0.8
+        assert r.project(99.0) == 3.4
+        assert r.project(2.345) == 2.345
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_project_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            FrequencyRange(0.8, 3.4).project(bad)
+
+    def test_contains_is_the_closed_interval(self):
+        r = FrequencyRange(0.8, 3.4)
+        assert 0.8 in r and 3.4 in r and 2.345 in r
+        assert math.nextafter(0.8, 0.0) not in r
+        assert math.nextafter(3.4, 4.0) not in r
+        assert float("nan") not in r
+        assert (r.min_level, r.max_level) == (0.8, 3.4)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0),
+                                        (1.0, float("inf")), (float("nan"), 1.0)])
+    def test_rejects_bad_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="frequency range"):
+            FrequencyRange(lo, hi)
+
+    def test_single_point_range(self):
+        r = FrequencyRange(2.0, 2.0)
+        assert r.project(0.1) == r.project(5.0) == 2.0

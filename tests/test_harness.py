@@ -1,9 +1,13 @@
+import csv
+import hashlib
+import io
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from powerreg.freqset import DEFAULT_LEVELS
+from powerreg.freqset import DEFAULT_LEVELS, FrequencyRange
 from powerreg.harness import (
     CSV_COLUMNS,
     DEFAULT_CONFIG_TEXT,
@@ -22,6 +26,7 @@ from powerreg.harness import (
     write_csv,
     write_sweep_csv,
 )
+from powerreg.workload import KINDS
 
 
 def make_record(t_ms, power_w, target_w=10.0, freq=2.0):
@@ -33,6 +38,34 @@ def make_record(t_ms, power_w, target_w=10.0, freq=2.0):
 
 def synthetic_trace(powers, cycle_ms=10, target_w=10.0):
     return [make_record(float(k * cycle_ms), p, target_w) for k, p in enumerate(powers)]
+
+
+# Edge cases of %.6g text: signed zeros, non-finite values, subnormals, the
+# switch to exponent form, ties at the sixth digit and the largest float.
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                  1e16, 123456.5, 1234565.0, 0.1, 9.9999995, 1e-5, 1.7976931348623157e308)
+
+
+# SHA-256 of the seed-1 trace CSV of each benchmark config (workload kind,
+# cycle_ms), cut to 4 s. Refactors and speed-ups keep these traces
+# byte-identical. A change that alters a trajectory on purpose updates the
+# digests and says so in CHANGES.md.
+BENCHMARK_TRACE_DIGESTS = {
+    ("constant", 30): "6a165a6e3a81668751d93f56d82153bafc363b826be61fb9e50087cd6d6c63b5",
+    ("graph_irregular", 10): "b369e9a8035f0df7b462dff0f1038ed88eaf1e6e5d1e6b45071009d10094e54e",
+    ("compute_bound", 1): "66287a599fe68568bbd513905d25f176dbefcd5f2905e317f615c8eea4cc8848",
+}
+
+
+def reference_csv(trace):
+    """The trace CSV as csv.writer writes it, fields formatted one by one."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in trace:
+        writer.writerow([format(getattr(rec, name), ".6g") for name in CSV_COLUMNS[:-1]]
+                        + ["1" if rec.settled else "0"])
+    return buf.getvalue()
 
 
 class TestParseConfig:
@@ -160,6 +193,21 @@ class TestRunExperiment:
         trace = run_experiment(cfg)
         assert abs(trace[50].error_w) < 1e-3 * cfg.target_w
 
+    def test_continuous_mode_spans_the_ladder(self):
+        cfg = parse_config("omega_continuous=true\nomega=3.1,1.0,2.0")
+        assert cfg.frequency_set() == FrequencyRange(1.0, 3.1)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_continuous_mode_holds_range_for_60_s(self, kind):
+        # Unbounded, the Newton step commanded negative frequencies within
+        # 60 s on every kind but constant.
+        for seed in range(1, 11):
+            cfg = config_from_pairs({"omega_continuous": "true", "workload.kind": kind,
+                                     "seed": str(seed), "duration_ms": "60000"})
+            trace = run_experiment(cfg)
+            assert all(0.8 <= rec.freq_ghz <= 3.4 for rec in trace)
+
     def test_determinism_same_seed_same_bytes(self, tmp_path):
         text = "workload.kind=graph_irregular\nseed=5\nduration_ms=1500"
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -263,6 +311,35 @@ class TestCsv:
     def test_write_failure_carries_path(self, tmp_path):
         with pytest.raises(OSError):
             write_csv([], str(tmp_path / "missing" / "t.csv"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(trace=st.lists(st.builds(
+        TraceRecord, *[st.floats() | st.sampled_from(SPECIAL_FLOATS)] * 11,
+        settled=st.booleans())))
+    @example(trace=[])
+    @example(trace=[TraceRecord(*SPECIAL_FLOATS[:11], settled=True),
+                    TraceRecord(*SPECIAL_FLOATS[-11:], settled=False)])
+    def test_rows_match_csv_writer_reference(self, tmp_path_factory, trace):
+        path = tmp_path_factory.getbasetemp() / "rows.csv"
+        write_csv(trace, str(path))
+        assert path.read_bytes() == reference_csv(trace).encode()
+        back = read_csv(str(path))
+        assert len(back) == len(trace)
+        for orig, rt in zip(trace, back):
+            assert rt.settled == orig.settled
+            values = [getattr(orig, name) for name in CSV_COLUMNS[:-1]]
+            if all(map(math.isfinite, values)):
+                assert [getattr(rt, name) for name in CSV_COLUMNS[:-1]] == [
+                    float(format(v, ".6g")) for v in values]
+
+    @pytest.mark.parametrize("kind, cycle_ms", BENCHMARK_TRACE_DIGESTS)
+    def test_benchmark_trace_digests_are_pinned(self, tmp_path, kind, cycle_ms):
+        cfg = config_from_pairs({"workload.kind": kind, "cycle_ms": str(cycle_ms),
+                                 "duration_ms": "4000", "seed": "1"})
+        path = tmp_path / "t.csv"
+        write_csv(run_experiment(cfg), str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == BENCHMARK_TRACE_DIGESTS[kind, cycle_ms]
 
 
 class TestMeanFrequency:

@@ -183,6 +183,17 @@ class TestAdvance:
         with pytest.raises(ValueError, match="thermal runaway"):
             plant.advance(1.0)
 
+    def test_thermal_runaway_raises_after_a_frequency_change(self):
+        # beta = 1 - 1.5*1.0*0.3*2 = 0.1 at 2.0 GHz, but < 0 at 3.4 GHz
+        plant = Plant(PlantParams(kappa=0.3), constant_profile(), u0=2.0,
+                      counter_phase_ms=0.0)
+        plant.advance(5.0)
+        plant.apply_frequency(3.4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="thermal runaway"):
+                plant.advance(1.0)
+        assert plant.clock_ms == 5.0
+
     def test_rejects_bad_dt(self):
         plant = Plant(PlantParams(), constant_profile(), u0=2.0, counter_phase_ms=0.0)
         for dt in (0.0, -1.0, float("nan"), float("inf")):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -119,6 +121,16 @@ class TestUpdate:
         assert np.array_equal(est.P, p)
         assert est.sample_count == n
 
+    def test_overflowing_update_is_named_and_leaves_state(self):
+        # the new coefficient a is -inf: the update is refused before P moves
+        est = RlsEstimator(0.98, 1e3, CubicModel(1e307, 0, 0, 0))
+        x, p = est.model, est.P.copy()
+        with pytest.raises(ValueError, match="coefficient a must be finite"):
+            est.update(3.4, -1e308)
+        assert est.model == x
+        assert np.array_equal(est.P, p)
+        assert est.sample_count == 0
+
     def test_degenerate_covariance_is_named_and_leaves_state(self):
         # p0 * h'h overflows: lambda + h'Ph is inf on the first sample
         est = RlsEstimator(0.98, 1e307)
@@ -215,6 +227,45 @@ class TestCubicModel:
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError):
             CubicModel(float("nan"), 0, 0, 0)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_is_named(self, position, bad):
+        coeffs = [1.0, 2.0, 3.0, 4.0]
+        coeffs[position] = bad
+        name = "abcd"[position]
+        with pytest.raises(ValueError, match=f"^coefficient {name} must be finite$"):
+            CubicModel(*coeffs)
+        with pytest.raises(ValueError, match=f"^coefficient {name} must be finite$"):
+            CubicModel(1.0, 2.0, 3.0, 4.0)._replace(**{name: bad})
+
+    def test_is_immutable(self):
+        m = CubicModel(1.0, 2.0, 3.0, 4.0)
+        with pytest.raises(AttributeError):
+            m.a = 5.0
+        with pytest.raises(AttributeError):
+            m.e = 5.0
+
+    def test_value_semantics(self):
+        m = CubicModel(1.0, 2.0, 3.0, 4.0)
+        assert m == CubicModel(1.0, 2.0, 3.0, 4.0)
+        assert m != CubicModel(1.0, 2.0, 3.0, 5.0)
+        assert m == (1.0, 2.0, 3.0, 4.0)
+        assert hash(m) == hash(CubicModel(1.0, 2.0, 3.0, 4.0))
+        assert CubicModel() == CubicModel(0.0, 0.0, 0.0, 0.0)
+        assert repr(m) == "CubicModel(a=1.0, b=2.0, c=3.0, d=4.0)"
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        m = CubicModel(1.5, -2.0, 3.25, 1e-300)
+        for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert type(back) is CubicModel
+            assert back == m
+
+    def test_update_returns_a_cubic_model(self):
+        est = RlsEstimator(0.98, 1e3)
+        m = est.update(2.0, 5.0)
+        assert type(m) is CubicModel and m is est.model
+        assert CubicModel.from_array(m.as_array()) == m
 
     def test_rejects_non_finite_phi(self):
         m = CubicModel(1, 1, 1, 1)

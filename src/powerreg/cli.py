@@ -14,7 +14,7 @@ import sys
 
 from . import harness
 from .freqset import DEFAULT_LEVELS
-from .harness import ConfigError, ExperimentConfig
+from .harness import ConfigError
 from .plant import PlantParams
 from .workload import make_profile
 
@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+def _load_pairs(args: argparse.Namespace) -> dict[str, str]:
+    """Raw config strings from --config, then --set, --seed and --out."""
     pairs: dict[str, str] = {}
     if args.config:
         with open(args.config) as fh:
@@ -59,30 +60,31 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         pairs["seed"] = str(args.seed)
     if args.out is not None:
         pairs["out_path"] = args.out
-    return harness.config_from_pairs(pairs)
+    return pairs
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = harness.config_from_pairs(_load_pairs(args))
     trace = harness.run_experiment(config)
     if config.out_path:
         harness.write_csv(trace, config.out_path)
-    settled = harness.settling_time(trace, config.target_w, config.settle_band_frac)
-    if settled is None:
-        print(f"records={len(trace)} settled=never "
-              f"mean_freq={harness.mean_frequency(trace):.3f} GHz")
-    else:
-        err = harness.steady_error(trace, config.target_w, settled)
-        print(f"records={len(trace)} settling={settled:.0f} ms "
-              f"error={err:.4f} W "
-              f"mean_freq={harness.mean_frequency(trace, settled):.3f} GHz")
+    row = harness.summarize(trace, config)
+    settling = ("settled=never" if row.settling_ms is None
+                else f"settling={row.settling_ms:.0f} ms error={row.error_w:.4f} W")
+    print(f"records={len(trace)} {settling} mean_freq={row.mean_freq_ghz:.3f} GHz")
     if config.out_path:
         print(f"trace written to {config.out_path}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    pairs = _load_pairs(args)
+    # run_sweep sets these for each scenario; a value given here would be dropped.
+    for key in pairs:
+        if key == "cycle_ms" or key.startswith("workload."):
+            raise ConfigError(
+                f"{key}: sweep sets cycle_ms and the workload itself, per scenario")
+    config = harness.config_from_pairs(pairs)
     rows = harness.run_sweep(config)
     print(",".join(harness.SWEEP_COLUMNS))
     for row in rows:

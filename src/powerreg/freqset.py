@@ -108,6 +108,9 @@ def check_frequency(phi: float, omega: FrequencySet | FrequencyRange | None) -> 
     if not (isinstance(phi, (int, float)) and math.isfinite(phi) and phi > 0.0):
         raise ValueError(f"frequency must be positive and finite, got {phi!r}")
     if omega is not None and phi not in omega:
+        if isinstance(omega, FrequencyRange):
+            raise ValueError(f"frequency {phi!r} is outside "
+                             f"[{omega.min_level}, {omega.max_level}] GHz")
         raise ValueError(f"frequency {phi!r} is not a legal level")
 
 

@@ -18,7 +18,7 @@ import csv
 import math
 import re
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
@@ -313,10 +313,7 @@ def mean_frequency(trace: list[TraceRecord], from_ms: float = 0.0) -> float:
 
 # -- CSV --------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "t_ms", "freq_ghz", "power_w", "target_w", "error_w", "gain",
-    "coeff_a", "coeff_b", "coeff_c", "coeff_d", "deriv_est", "settled",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 def _fmt(value: float) -> str:
@@ -403,16 +400,16 @@ def config_from_pairs(pairs: dict[str, str]) -> ExperimentConfig:
     return config
 
 
-# -- sweep --------------------------------------------------------------------
+# -- run summary and sweep ----------------------------------------------------
 
 SWEEP_KINDS = ("compute_bound", "graph_irregular", "memory_bound")
 SWEEP_CYCLES = (10, 30)
 
-SWEEP_COLUMNS = ("scenario", "cycle_ms", "settling_ms", "error_w", "mean_freq_ghz")
-
 
 @dataclass
 class SweepRow:
+    """One run's summary: a row of `sweep`'s table, and what `run` prints."""
+
     scenario: str
     cycle_ms: int
     settling_ms: float | None
@@ -420,38 +417,36 @@ class SweepRow:
     mean_freq_ghz: float
 
 
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
+def summarize(trace: list[TraceRecord], config: ExperimentConfig) -> SweepRow:
+    """Settling time, the steady error after it and the mean frequency from
+    it (over the whole run, and no error, when the run never settles)."""
+    settled = settling_time(trace, config.target_w, config.settle_band_frac)
+    err = None if settled is None else steady_error(trace, config.target_w, settled)
+    return SweepRow(config.workload.kind, config.cycle_ms, settled, err,
+                    mean_frequency(trace, settled or 0.0))
+
+
 def run_sweep(
     base: ExperimentConfig,
     kinds: tuple[str, ...] = SWEEP_KINDS,
     cycles: tuple[int, ...] = SWEEP_CYCLES,
 ) -> list[SweepRow]:
-    """Run the scenario grid and summarize each run's metrics.
+    """Run the scenario grid and summarize each run.
 
-    Output ordering is by (scenario, cycle_ms), independent of run order.
+    Each run is base with its workload replaced by the scenario kind's preset
+    profile (seeded from base.seed) and its cycle_ms by the grid's, so base's
+    own workload and cycle_ms are ignored. Output ordering is by (scenario,
+    cycle_ms), independent of run order.
     """
     rows = []
     for kind in sorted(kinds):
         for cycle in sorted(cycles):
-            cfg = replace(
-                base,
-                cycle_ms=cycle,
-                workload=make_profile(kind, seed=base.seed),
-                out_path=None,
-            )
-            trace = run_experiment(cfg)
-            settled = settling_time(trace, cfg.target_w, cfg.settle_band_frac)
-            err = None
-            freq_from = 0.0
-            if settled is not None:
-                err = steady_error(trace, cfg.target_w, settled)
-                freq_from = settled
-            rows.append(SweepRow(
-                scenario=kind,
-                cycle_ms=cycle,
-                settling_ms=settled,
-                error_w=err,
-                mean_freq_ghz=mean_frequency(trace, freq_from),
-            ))
+            cfg = replace(base, cycle_ms=cycle,
+                          workload=make_profile(kind, seed=base.seed), out_path=None)
+            rows.append(summarize(run_experiment(cfg), cfg))
     return rows
 
 
@@ -460,10 +455,6 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow([
-                row.scenario,
-                str(row.cycle_ms),
-                _fmt(row.settling_ms) if row.settling_ms is not None else "",
-                _fmt(row.error_w) if row.error_w is not None else "",
-                _fmt(row.mean_freq_ghz),
-            ])
+            writer.writerow([row.scenario, str(row.cycle_ms)] + [
+                "" if v is None else _fmt(v)
+                for v in (row.settling_ms, row.error_w, row.mean_freq_ghz)])

@@ -79,8 +79,8 @@ def steady_power(params: PlantParams, alpha: float, phi: float) -> float:
 
     Solves P = P_dyn + sigma*V*(1 + kappa*r_th*P), which is linear in P.
     """
-    v = params.voltage(phi)
-    p_dyn = params.dynamic_power(alpha, phi)
+    v = params.v0 + params.m * phi
+    p_dyn = alpha * params.cap * v * v * phi
     loop = params.sigma * v * params.kappa * params.r_th
     if loop >= 1.0:
         raise ValueError("thermal runaway: leakage feedback gain >= 1")
@@ -149,7 +149,7 @@ def reference_energy(
             idx += 1
         phi = sched[idx][1]
         alpha = profile.sample_alpha(t)
-        v = params.voltage(phi)
+        v = params.v0 + params.m * phi
         power = alpha * params.cap * v * v * phi + params.sigma * v * (
             1.0 + params.kappa * (temp - params.t_amb))
         energy += power * dt_ms * 1e-3

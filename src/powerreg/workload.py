@@ -9,7 +9,8 @@ graph-processing programs differ in jitter, stall fraction, and dwell time.
 
 Sampling is a pure function of (profile, t): every random draw is keyed by
 the dwell-interval index, never by call order, so trajectories do not depend
-on how the caller steps time.
+on how the caller steps time. A profile builds its level and stall processes
+once, at construction, and leaves out each one that cannot change alpha.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KINDS = ("compute_bound", "memory_bound", "graph_irregular", "constant")
 
 # Preset knobs per profile kind. These are calibration values chosen so the
 # kinds reproduce the expected ordering of workload variability
-# (graph_irregular > memory_bound > compute_bound > constant).
+# (graph_irregular > memory_bound > compute_bound > constant). The constant
+# kind has no preset: it takes WorkloadProfile's defaults, which hold alpha
+# at alpha_mean.
 _PRESETS: dict[str, dict[str, float]] = {
     "compute_bound": dict(
         alpha_jitter=0.05, switch_period_ms=40.0,
@@ -36,10 +39,6 @@ _PRESETS: dict[str, dict[str, float]] = {
     "graph_irregular": dict(
         alpha_jitter=0.35, switch_period_ms=15.0,
         stall_fraction=0.45, stall_alpha_scale=0.4,
-    ),
-    "constant": dict(
-        alpha_jitter=0.0, switch_period_ms=40.0,
-        stall_fraction=0.0, stall_alpha_scale=1.0,
     ),
 }
 
@@ -74,13 +73,15 @@ class _Renewal:
         return i, self._values[i], self._bounds[i + 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadProfile:
     """Parameters of one synthetic activity process.
 
     alpha_mean is the center of the level process; alpha_jitter its relative
     amplitude; stall_fraction the long-run fraction of time spent stalled,
-    during which activity is multiplied by stall_alpha_scale.
+    during which activity is multiplied by stall_alpha_scale. The profile is
+    frozen, so the processes built from these fields at construction stay
+    in step with them.
     """
 
     kind: str
@@ -90,9 +91,6 @@ class WorkloadProfile:
     stall_fraction: float = 0.0
     stall_alpha_scale: float = 1.0
     seed: int = 0
-
-    _levels: _Renewal | None = field(default=None, init=False, repr=False, compare=False)
-    _stalls: _Renewal | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -111,42 +109,30 @@ class WorkloadProfile:
             raise ValueError("stall_fraction must be in [0, 1)")
         if not 0.0 < self.stall_alpha_scale <= 1.0:
             raise ValueError("stall_alpha_scale must be in (0, 1]")
-
-    def _level_process(self) -> _Renewal:
-        if self._levels is None:
-            self._levels = _Renewal(
-                f"{self.seed}:levels", (self.switch_period_ms,))
-        return self._levels
-
-    def _stall_process(self) -> _Renewal:
-        if self._stalls is None:
+        # The level and stall processes, each None when it cannot change alpha.
+        levels = stalls = None
+        if self.alpha_jitter > 0.0:
+            levels = _Renewal(f"{self.seed}:levels", (self.switch_period_ms,))
+        if self.stall_fraction > 0.0 and self.stall_alpha_scale < 1.0:
             # Alternating busy/stall dwells; the stall cycle runs faster than
             # the level process so stalls flicker within a level dwell.
             cycle = self.switch_period_ms / 2.0
             busy_mean = (1.0 - self.stall_fraction) * cycle
             stall_mean = self.stall_fraction * cycle
-            self._stalls = _Renewal(
-                f"{self.seed}:stalls", (busy_mean, stall_mean))
-        return self._stalls
-
-    def _has_levels(self) -> bool:
-        return self.alpha_jitter > 0.0
-
-    def _has_stalls(self) -> bool:
-        return self.stall_fraction > 0.0 and self.stall_alpha_scale < 1.0
+            stalls = _Renewal(f"{self.seed}:stalls", (busy_mean, stall_mean))
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_stalls", stalls)
 
     def sample_alpha(self, t_ms: float) -> float:
         """Activity factor at time t_ms; pure function of (profile, t_ms)."""
         if t_ms < 0.0:
             raise ValueError("time must be non-negative")
         alpha = self.alpha_mean
-        if self._has_levels():
-            _, u, _ = self._level_process().locate(t_ms)
+        if self._levels is not None:
+            _, u, _ = self._levels.locate(t_ms)
             alpha = self.alpha_mean * (1.0 + self.alpha_jitter * (2.0 * u - 1.0))
-        if self._has_stalls():
-            i, _, _ = self._stall_process().locate(t_ms)
-            if i % 2 == 1:
-                alpha *= self.stall_alpha_scale
+        if self._stalls is not None and self._stalls.locate(t_ms)[0] % 2 == 1:
+            alpha *= self.stall_alpha_scale
         return alpha
 
     def next_change_ms(self, t_ms: float) -> float:
@@ -158,12 +144,10 @@ class WorkloadProfile:
         if t_ms < 0.0:
             raise ValueError("time must be non-negative")
         nxt = math.inf
-        if self._has_levels():
-            _, _, end = self._level_process().locate(t_ms)
-            nxt = min(nxt, end)
-        if self._has_stalls():
-            _, _, end = self._stall_process().locate(t_ms)
-            nxt = min(nxt, end)
+        if self._levels is not None:
+            nxt = self._levels.locate(t_ms)[2]
+        if self._stalls is not None:
+            nxt = min(nxt, self._stalls.locate(t_ms)[2])
         return nxt
 
 

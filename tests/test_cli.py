@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,24 @@ from powerreg.harness import read_csv
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+# SHA-256 of the stdout of each default command. Refactors keep this output
+# byte-identical; a change that alters it on purpose updates the digest and
+# says so in CHANGES.md. `oracle` is left out: its least-squares line depends
+# on the numpy build.
+STDOUT_DIGESTS = {
+    "run": "321f7430c5018866353b857b9e8fcd0784ff2b45de5d48015e2a7d5f841faf5c",
+    "sweep": "f0b8c36d1f6c007f7766f2772d30281ae37ae7a14fb37dd278c5fbc9d5fe5a06",
+    "defaults": "6e6352c387d3cf8ec76049f34907892b73af8d3d3552264e202aa15e33510eb9",
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_DIGESTS)
+def test_default_stdout_is_pinned(capsys, command):
+    assert run_cli(command) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == STDOUT_DIGESTS[command]
 
 
 class TestRun:
@@ -69,6 +88,11 @@ class TestRun:
     def test_missing_config_file_exits_3(self):
         assert run_cli("run", "--config", "/nonexistent/exp.cfg") == 3
 
+    def test_continuous_start_frequency_error_names_the_range(self, capsys):
+        assert run_cli("run", "--set", "omega_continuous=true", "--set", "u0=5") == 2
+        assert ("config error: u0: frequency 5.0 is outside [0.8, 3.4] GHz"
+                in capsys.readouterr().err)
+
     def test_thermal_runaway_at_top_level_is_a_config_error(self, capsys):
         # beta < 0 at 3.4 GHz; the loop would only reach it mid-run
         assert run_cli("run", "--set", "plant.kappa=0.3") == 2
@@ -89,6 +113,18 @@ class TestSweep:
         assert scenarios == sorted(scenarios)
         stdout = capsys.readouterr().out
         assert "compute_bound" in stdout
+
+    @pytest.mark.parametrize("key, value", [
+        ("cycle_ms", "30"), ("workload.kind", "memory_bound"),
+        ("workload.alpha_mean", "1.5"),
+    ])
+    def test_keys_the_sweep_sets_are_rejected(self, tmp_path, capsys, key, value):
+        assert run_cli("sweep", "--set", "duration_ms=1000", "--set", f"{key}={value}") == 2
+        assert f"config error: {key}: sweep sets" in capsys.readouterr().err
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_cli("sweep", "--config", str(cfg)) == 2
+        assert f"config error: {key}: sweep sets" in capsys.readouterr().err
 
 
 class TestOracle:

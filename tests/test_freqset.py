@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA, FrequencyRange, FrequencySet
+from powerreg.freqset import (
+    DEFAULT_LEVELS,
+    DEFAULT_OMEGA,
+    FrequencyRange,
+    FrequencySet,
+    check_frequency,
+)
 
 
 def brute_nearest(levels, u):
@@ -133,3 +139,13 @@ class TestFrequencyRange:
     def test_single_point_range(self):
         r = FrequencyRange(2.0, 2.0)
         assert r.project(0.1) == r.project(5.0) == 2.0
+
+
+@pytest.mark.parametrize("omega, message", [
+    (DEFAULT_OMEGA, "frequency 5.0 is not a legal level"),
+    (FrequencyRange(0.8, 3.4), "frequency 5.0 is outside [0.8, 3.4] GHz"),
+])
+def test_illegal_frequency_error_names_the_kind_of_set(omega, message):
+    with pytest.raises(ValueError) as excinfo:
+        check_frequency(5.0, omega)
+    assert str(excinfo.value) == message

@@ -22,11 +22,12 @@ from powerreg.harness import (
     run_experiment,
     run_sweep,
     settling_time,
+    summarize,
     steady_error,
     write_csv,
     write_sweep_csv,
 )
-from powerreg.workload import KINDS
+from powerreg.workload import KINDS, make_profile
 
 
 def make_record(t_ms, power_w, target_w=10.0, freq=2.0):
@@ -354,6 +355,21 @@ class TestMeanFrequency:
             mean_frequency(synthetic_trace([10.0]), 50.0)
 
 
+class TestSummarize:
+    def test_settled_run(self):
+        trace = synthetic_trace([5.0, 8.0, 10.1, 9.9, 10.3])
+        cfg = ExperimentConfig(cycle_ms=10)
+        row = summarize(trace, cfg)
+        assert (row.scenario, row.cycle_ms, row.settling_ms) == ("constant", 10, 20.0)
+        assert row.error_w == pytest.approx(steady_error(trace, 10.0, 20.0))
+        assert row.mean_freq_ghz == mean_frequency(trace, 20.0)
+
+    def test_unsettled_run_has_no_error_and_averages_the_whole_run(self):
+        trace = [make_record(float(t * 10), 3.0, freq=f) for t, f in enumerate([1.0, 2.0])]
+        row = summarize(trace, ExperimentConfig())
+        assert (row.settling_ms, row.error_w, row.mean_freq_ghz) == (None, None, 1.5)
+
+
 class TestSweep:
     def test_rows_are_sorted_and_complete(self, tmp_path):
         base = parse_config("duration_ms=600")
@@ -368,6 +384,12 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "scenario,cycle_ms,settling_ms,error_w,mean_freq_ghz"
         assert len(lines) == 5
+
+    def test_row_is_the_run_summary(self):
+        base = parse_config("duration_ms=600\nseed=4")
+        [row] = run_sweep(base, kinds=("graph_irregular",), cycles=(30,))
+        cfg = replace(base, cycle_ms=30, workload=make_profile("graph_irregular", seed=4))
+        assert row == summarize(run_experiment(cfg), cfg)
 
     def test_sweep_is_deterministic(self):
         base = parse_config("duration_ms=400\nseed=9")

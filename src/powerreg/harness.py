@@ -249,6 +249,7 @@ def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
         prev_energy = now_energy
 
         model = estimator.update(u, y)
+        a, b, c, d = model
         deriv = model.derivative(u)
         err = tracking_error(config.target_w, y)
         a_gain = gain(deriv, config.deriv_floor)
@@ -261,10 +262,10 @@ def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
             target_w=config.target_w,
             error_w=err,
             gain=a_gain,
-            coeff_a=model.a,
-            coeff_b=model.b,
-            coeff_c=model.c,
-            coeff_d=model.d,
+            coeff_a=a,
+            coeff_b=b,
+            coeff_c=c,
+            coeff_d=d,
             deriv_est=deriv,
             settled=band_lo <= y <= band_hi,
         ))

@@ -7,10 +7,14 @@ busy/stall renewal where stalls scale activity down, mimicking cores waiting
 on memory. Profiles for compute-heavy, memory-heavy, and irregular
 graph-processing programs differ in jitter, stall fraction, and dwell time.
 
-Sampling is a pure function of (profile, t): every random draw is keyed by
-the dwell-interval index, never by call order, so trajectories do not depend
-on how the caller steps time. A profile builds its level and stall processes
-once, at construction, and leaves out each one that cannot change alpha.
+Each process draws from one random stream, seeded once from the profile's
+seed and the process name ("<seed>:levels", "<seed>:stalls"). Intervals are
+only ever appended at the end, in index order, and each takes two draws,
+dwell then value, so interval i always gets draws 2i and 2i+1 of its stream.
+Sampling is therefore a pure function of (profile, t): trajectories do not
+depend on the order in which the caller asks for times. A profile builds its
+level and stall processes once, at construction, and leaves out each one that
+cannot change alpha.
 """
 
 from __future__ import annotations
@@ -44,26 +48,26 @@ _PRESETS: dict[str, dict[str, float]] = {
 
 
 class _Renewal:
-    """Lazily built renewal sequence whose draws are keyed by interval index.
+    """Lazily built renewal sequence drawn from one random stream.
 
     Interval i spans [bounds[i], bounds[i+1]); its dwell is exponential with
-    mean means[i % len(means)]. The per-interval RNG also supplies the
-    interval's value draw.
+    mean means[i % len(means)], and it carries a value draw in [0, 1).
+    Intervals are appended in index order only, each taking the dwell and
+    then the value from the stream seeded by key, so interval i holds draws
+    2i and 2i+1 however far ahead the caller has looked.
     """
 
     def __init__(self, key: str, means: tuple[float, ...]):
-        self._key = key
+        self._rng = random.Random(key)
         self._means = means
         self._bounds: list[float] = [0.0]
         self._values: list[float] = []
 
     def _extend(self) -> None:
-        i = len(self._values)
-        rng = random.Random(f"{self._key}:{i}")
-        mean = self._means[i % len(self._means)]
-        dwell = -mean * math.log1p(-rng.random())
+        mean = self._means[len(self._values) % len(self._means)]
+        dwell = -mean * math.log1p(-self._rng.random())
         self._bounds.append(self._bounds[-1] + dwell)
-        self._values.append(rng.random())
+        self._values.append(self._rng.random())
 
     def locate(self, t: float) -> tuple[int, float, float]:
         """Return (index, value draw in [0,1), interval end) for time t."""

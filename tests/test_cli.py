@@ -20,7 +20,7 @@ def run_cli(*argv):
 # on the numpy build.
 STDOUT_DIGESTS = {
     "run": "321f7430c5018866353b857b9e8fcd0784ff2b45de5d48015e2a7d5f841faf5c",
-    "sweep": "f0b8c36d1f6c007f7766f2772d30281ae37ae7a14fb37dd278c5fbc9d5fe5a06",
+    "sweep": "9e8bcce0795ea826d138ab78c179af688b393fc717b18638029770af8245ff13",
     "defaults": "6e6352c387d3cf8ec76049f34907892b73af8d3d3552264e202aa15e33510eb9",
 }
 

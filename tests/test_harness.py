@@ -53,8 +53,8 @@ SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
 # digests and says so in CHANGES.md.
 BENCHMARK_TRACE_DIGESTS = {
     ("constant", 30): "6a165a6e3a81668751d93f56d82153bafc363b826be61fb9e50087cd6d6c63b5",
-    ("graph_irregular", 10): "b369e9a8035f0df7b462dff0f1038ed88eaf1e6e5d1e6b45071009d10094e54e",
-    ("compute_bound", 1): "66287a599fe68568bbd513905d25f176dbefcd5f2905e317f615c8eea4cc8848",
+    ("graph_irregular", 10): "2c4b7df93827c30eb3ef7c2634afadf9690855861c6ec1a99fcf917e4a556118",
+    ("compute_bound", 1): "6690d704458ffca7b8354cff1ae331b2417c526529c91bd7fbca1edd2bef70e6",
 }
 
 

@@ -1,10 +1,26 @@
+import bisect
 import math
 import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerreg.workload import KINDS, WorkloadProfile, make_profile
+
+VARYING_KINDS = tuple(k for k in KINDS if k != "constant")
+
+
+def reference_intervals(key, means, n):
+    """The first n (bounds, values) of a renewal process, drawn as specified:
+    one stream seeded by key, each interval taking its dwell, then its value."""
+    rng = random.Random(key)
+    bounds, values = [0.0], []
+    for i in range(n):
+        mean = means[i % len(means)]
+        bounds.append(bounds[-1] - mean * math.log1p(-rng.random()))
+        values.append(rng.random())
+    return bounds, values
 
 
 class TestMakeProfile:
@@ -117,3 +133,49 @@ class TestNextChange:
             bounds.append(p.next_change_ms(bounds[-1]))
         dwells = [b - a for a, b in zip(bounds, bounds[1:])]
         assert statistics.fmean(dwells) == pytest.approx(20.0, rel=0.1)
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize("kind", VARYING_KINDS)
+    @pytest.mark.parametrize("seed", [1, 9001])
+    def test_first_200_intervals_match_reference(self, kind, seed):
+        p = make_profile(kind, seed=seed)
+        cycle = p.switch_period_ms / 2.0
+        lv_b, lv_v = reference_intervals(f"{seed}:levels", (p.switch_period_ms,), 2000)
+        st_b, _ = reference_intervals(
+            f"{seed}:stalls",
+            ((1.0 - p.stall_fraction) * cycle, p.stall_fraction * cycle), 2000)
+        horizon = max(lv_b[200], st_b[200])
+        assert horizon < min(lv_b[-1], st_b[-1])
+        changes = sorted(set(lv_b[1:] + st_b[1:]))
+        t = 0.0
+        for expected_next in changes:
+            if t > horizon:
+                break
+            i = bisect.bisect_right(lv_b, t) - 1
+            j = bisect.bisect_right(st_b, t) - 1
+            alpha = p.alpha_mean * (1.0 + p.alpha_jitter * (2.0 * lv_v[i] - 1.0))
+            if j % 2 == 1:
+                alpha *= p.stall_alpha_scale
+            assert p.sample_alpha(t) == alpha
+            assert p.next_change_ms(t) == expected_next
+            t = expected_next
+
+
+class TestQueryOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31),
+           times=st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=30),
+           data=st.data())
+    def test_answers_do_not_depend_on_query_order(self, kind, seed, times, data):
+        def answers(profile, order):
+            got = {t: (profile.sample_alpha(t), profile.next_change_ms(t)) for t in order}
+            return [got[t] for t in times]
+
+        in_order = answers(make_profile(kind, seed=seed), times)
+        shuffled = data.draw(st.permutations(times))
+        assert answers(make_profile(kind, seed=seed), shuffled) == in_order
+        latest_first = make_profile(kind, seed=seed)
+        latest_first.sample_alpha(max(times))
+        latest_first.next_change_ms(max(times))
+        assert answers(latest_first, times) == in_order

@@ -36,12 +36,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run one experiment")
     _add_common(run)
+    run.set_defaults(func=_cmd_run)
     sweep = sub.add_parser("sweep", help="run the scenario grid")
     _add_common(sweep)
+    sweep.set_defaults(func=_cmd_sweep)
     oracle = sub.add_parser(
         "oracle", help="print independent reference computations")
     oracle.add_argument("--seed", type=int, default=1, metavar="N")
-    sub.add_parser("defaults", help="print the default config")
+    oracle.set_defaults(func=_cmd_oracle)
+    defaults = sub.add_parser("defaults", help="print the default config")
+    defaults.set_defaults(func=_cmd_defaults)
     return parser
 
 
@@ -145,30 +149,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_defaults(args: argparse.Namespace) -> int:
+    print(harness.DEFAULT_CONFIG_TEXT, end="")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "defaults":
-            print(harness.DEFAULT_CONFIG_TEXT, end="")
-            return 0
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the production code paths: brute-force
 searches, closed forms, batch solves, and dumb fixed-step quadrature. These
-are the cross-checks for the controller, estimator, and plant, exercised by
-the test suite and by the `oracle` CLI subcommand.
+are the cross-checks for the controller, estimator, and plant: the test suite
+takes its references from here, and the `oracle` CLI subcommand prints them.
 """
 
 from __future__ import annotations
@@ -51,20 +51,29 @@ def batch_cubic_fit(
     phis: Sequence[float],
     powers: Sequence[float],
     forgetting: float = 1.0,
+    p0: float | None = None,
+    x0: Sequence[float] = (0.0, 0.0, 0.0, 0.0),
 ) -> np.ndarray:
     """Batch (weighted) least-squares fit of a cubic, coefficients (a, b, c, d).
 
     With forgetting < 1 sample i of n gets weight forgetting**(n - 1 - i),
-    the most recent sample weighing 1.
+    the most recent sample weighing 1. With a prior covariance p0 the fit
+    also pays (forgetting**n / p0) * |x - x0|^2, as four extra rows, so it
+    minimizes the criterion RlsEstimator(forgetting, p0, x0) minimizes after
+    the same n updates.
     """
     phis = np.asarray(phis, dtype=float)
     ys = np.asarray(powers, dtype=float)
     h = np.vstack([phis**3, phis**2, phis, np.ones_like(phis)]).T
+    n = len(phis)
     if forgetting != 1.0:
-        n = len(phis)
         w = np.sqrt(forgetting ** (n - 1 - np.arange(n)))
         h = h * w[:, None]
         ys = ys * w
+    if p0 is not None:
+        r = math.sqrt(forgetting**n / p0)
+        h = np.vstack([h, r * np.eye(4)])
+        ys = np.concatenate([ys, r * np.asarray(x0, dtype=float)])
     coeffs, *_ = np.linalg.lstsq(h, ys, rcond=None)
     return coeffs
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .freqset import FrequencyRange, FrequencySet, check_frequency
 from .workload import WorkloadProfile
@@ -76,10 +76,9 @@ class PlantParams:
         for ok, msg in checks:
             if not ok:
                 raise ValueError(msg)
-        for name in ("cap", "v0", "m", "sigma", "kappa", "t_amb", "r_th",
-                     "tau_th", "latency_ms"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
 
     def voltage(self, phi: float) -> float:
         """Supply voltage at frequency phi (GHz)."""
@@ -118,9 +117,10 @@ class Plant:
         check_frequency(u0, omega)
         if omega is not None:
             # beta falls as phi rises (see _integrate_to), so the top level
-            # is the first to run away.
+            # is the first to run away. beta is rounded as the step rounds it,
+            # so a plant that passes here never runs away mid-run.
             top = omega.max_level
-            if 1.0 - params.r_th * params.sigma * params.voltage(top) * params.kappa <= 0.0:
+            if 1.0 - params.r_th * (params.sigma * params.voltage(top) * params.kappa) <= 0.0:
                 raise ValueError(f"{_RUNAWAY} at {top} GHz")
         self.freq = u0
         self.alpha = profile.sample_alpha(0.0)

@@ -17,14 +17,15 @@ from powerreg.harness import (
     steady_error,
     write_csv,
 )
-from powerreg.oracles import reference_energy
+from powerreg.oracles import (adjacent_power_gap, batch_cubic_fit, reference_energy,
+                              true_cubic_coeffs)
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
 
 # Static test plant: the default simulated part at alpha=1, kappa=0, whose
 # power is exactly cubic in frequency and increasing over the range.
-A, B, C, D = 0.08, 0.48, 1.02, 0.9
+A, B, C, D = true_cubic_coeffs(PlantParams(), alpha=1.0)
 
 
 def g(u):
@@ -87,8 +88,7 @@ def test_rls_oracle_equivalence():
     est = RlsEstimator(forgetting=1.0, p0=1e12)
     for phi, y in zip(phis, ys):
         est.update(phi, y)
-    h = np.vstack([np.power(phis, 3), np.power(phis, 2), phis, np.ones(5)]).T
-    expected, *_ = np.linalg.lstsq(h, np.array(ys), rcond=None)
+    expected = batch_cubic_fit(phis, ys)
     rel = np.max(np.abs(est.model.as_array() - expected)) / np.max(np.abs(expected))
     ok = rel <= 1e-8
     report(f"RLS vs batch least squares (rel dev {rel:.2e})", ok)
@@ -113,14 +113,7 @@ def test_quantized_steady_band():
         "duration_ms=4000")
     trace = run_experiment(cfg)
 
-    # brute-force bracket of the target over the ladder's exact powers
-    powers = {v: g(v) for v in DEFAULT_LEVELS}
-    bracket = None
-    for lo, hi in zip(DEFAULT_LEVELS, DEFAULT_LEVELS[1:]):
-        if powers[lo] <= target <= powers[hi]:
-            bracket = (lo, hi)
-    assert bracket is not None
-    gap = powers[bracket[1]] - powers[bracket[0]]
+    lo, hi, gap = adjacent_power_gap(PlantParams(kappa=0), 1.0, DEFAULT_LEVELS, target)
 
     tail = [r.freq_ghz for r in trace[-100:]]
     periodic = all(tail[i] == tail[i + 2] for i in range(len(tail) - 2))
@@ -128,7 +121,7 @@ def test_quantized_steady_band():
     adjacent = len(distinct) == 1 or (
         len(distinct) == 2
         and DEFAULT_LEVELS.index(distinct[1]) - DEFAULT_LEVELS.index(distinct[0]) == 1
-        and set(distinct) <= set(bracket))
+        and set(distinct) <= {lo, hi})
     err = steady_error(trace, target, 2000.0)
     ok = periodic and adjacent and err <= gap / 2.0
     report(

@@ -88,6 +88,11 @@ class TestRun:
     def test_missing_config_file_exits_3(self):
         assert run_cli("run", "--config", "/nonexistent/exp.cfg") == 3
 
+    def test_runtime_failure_exits_3(self, capsys):
+        # p0 * h'h overflows on the first RLS update, after config checks pass
+        assert run_cli("run", "--set", "rls.p0=1e307") == 3
+        assert "error: RLS covariance is degenerate" in capsys.readouterr().err
+
     def test_continuous_start_frequency_error_names_the_range(self, capsys):
         assert run_cli("run", "--set", "omega_continuous=true", "--set", "u0=5") == 2
         assert ("config error: u0: frequency 5.0 is outside [0.8, 3.4] GHz"
@@ -98,6 +103,14 @@ class TestRun:
         assert run_cli("run", "--set", "plant.kappa=0.3") == 2
         assert ("config error: plant: thermal runaway"
                 in capsys.readouterr().err)
+        # kappa on the runaway boundary at 3.4 GHz, where a differently
+        # rounded check passed a plant that the first step then rejected
+        for mode in ("false", "true"):
+            assert run_cli("run", "--set", "plant.sigma=1.09", "--set", "plant.kappa=0.222",
+                           "--set", "plant.r_th=3.2285726093065534", "--set", "u0=3.4",
+                           "--set", f"omega_continuous={mode}") == 2
+            assert capsys.readouterr().err == (
+                "config error: plant: thermal runaway: leakage feedback gain >= 1 at 3.4 GHz\n")
 
 
 class TestSweep:

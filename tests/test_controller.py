@@ -5,10 +5,12 @@ import pytest
 
 from powerreg.controller import IntegralController, gain, tracking_error
 from powerreg.freqset import DEFAULT_OMEGA
+from powerreg.oracles import newton_path, true_cubic_coeffs
+from powerreg.plant import PlantParams
 
 # Plant-shaped cubic used as a static test plant: increasing over the whole
 # operating range, coefficients from the default simulated part at alpha=1.
-A, B, C, D = 0.08, 0.48, 1.02, 0.9
+A, B, C, D = true_cubic_coeffs(PlantParams(), alpha=1.0)
 
 
 def g(u):
@@ -17,15 +19,6 @@ def g(u):
 
 def dg(u):
     return (3.0 * A * u + 2.0 * B) * u + C
-
-
-def newton_reference(target, u0, steps):
-    """Independently coded textbook Newton iteration for target - g(u) = 0."""
-    us = [u0]
-    for _ in range(steps):
-        u = us[-1]
-        us.append(u - (g(u) - target) / dg(u))
-    return us
 
 
 class TestGain:
@@ -108,10 +101,10 @@ class TestStep:
 
     def test_cube_root_iterates_match_reference_newton(self):
         ctrl = IntegralController(None, u0=1.0)
-        expected = 1.0
+        ref = newton_path(lambda u: u**3, lambda u: 3.0 * u * u, 8.0, 1.0,
+                          max_steps=12, tol=-math.inf)
         u = 1.0
-        for _ in range(12):
-            expected = expected - (expected**3 - 8.0) / (3.0 * expected**2)
+        for expected in ref[1:]:
             u = ctrl.step(8.0, u**3, 3.0 * u * u)
             assert u == pytest.approx(expected, rel=1e-13)
 
@@ -140,7 +133,8 @@ class TestReset:
 class TestNewtonBehavior:
     def test_matches_reference_to_machine_precision(self):
         ctrl = IntegralController(None, u0=2.0)
-        ref = newton_reference(10.0, 2.0, 10)
+        # a negative tol never stops the reference early: all 10 iterates count
+        ref = newton_path(g, dg, 10.0, 2.0, max_steps=10, tol=-math.inf)
         u = 2.0
         for expected in ref[1:]:
             u = ctrl.step(10.0, g(u), dg(u))

@@ -10,15 +10,7 @@ from powerreg.freqset import (
     FrequencySet,
     check_frequency,
 )
-
-
-def brute_nearest(levels, u):
-    # exhaustive argmin; first (lowest) level wins ties because of the scan order
-    best = levels[0]
-    for v in levels[1:]:
-        if abs(v - u) < abs(best - u):
-            best = v
-    return best
+from powerreg.oracles import nearest_level_brute
 
 
 class TestFromList:
@@ -62,7 +54,7 @@ class TestProject:
 
     def test_interior_value_matches_brute_force(self):
         assert DEFAULT_OMEGA.project(2.55) == 2.5
-        assert DEFAULT_OMEGA.project(2.55) == brute_nearest(DEFAULT_LEVELS, 2.55)
+        assert DEFAULT_OMEGA.project(2.55) == nearest_level_brute(DEFAULT_LEVELS, 2.55)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, bad):
@@ -79,7 +71,7 @@ class TestProject:
             u = rng.uniform(-1.0, 5.0)
             got = DEFAULT_OMEGA.project(u)
             assert got in DEFAULT_OMEGA
-            assert got == brute_nearest(DEFAULT_LEVELS, u)
+            assert got == nearest_level_brute(DEFAULT_LEVELS, u)
             # no member is closer, and projection is idempotent
             assert all(abs(got - u) <= abs(v - u) for v in DEFAULT_OMEGA)
             assert DEFAULT_OMEGA.project(got) == got
@@ -91,7 +83,7 @@ class TestProject:
             levels = sorted({round(rng.uniform(0.1, 8.0), 3) for _ in range(n)})
             fs = FrequencySet.from_list(levels)
             u = rng.uniform(-2.0, 10.0)
-            assert fs.project(u) == brute_nearest(fs.levels, u)
+            assert fs.project(u) == nearest_level_brute(fs.levels, u)
 
 
 def test_immutable():

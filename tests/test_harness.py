@@ -266,6 +266,8 @@ class TestSteadyError:
         trace = synthetic_trace([10.0] * 10)
         with pytest.raises(ValueError):
             steady_error(trace, 10.0, 95.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            steady_error([], 10.0, 0.0)
 
 
 class TestCsv:
@@ -273,6 +275,9 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv([], str(path))
         assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+        path.write_text(",".join(reversed(CSV_COLUMNS)) + "\n")
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_csv(str(path))
 
     def test_one_line_per_record_plus_header(self, tmp_path):
         trace = synthetic_trace([10.0] * 400)

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powerreg.freqset import DEFAULT_OMEGA
-from powerreg.oracles import first_order_rise
+from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
+from powerreg.oracles import first_order_rise, steady_power, true_cubic_coeffs
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
@@ -43,19 +43,19 @@ class TestDynamicPower:
         assert p.dynamic_power(1.0, 2.5) == pytest.approx(2.0 * p.dynamic_power(0.5, 2.5))
 
     def test_cubic_in_frequency(self):
-        # expanding alpha*C*(v0+m*phi)^2*phi gives the cubic below
-        p = PlantParams(cap=1.7, v0=0.7, m=0.25)
+        # without leakage (sigma=0) total power is the dynamic power alone
+        p = PlantParams(cap=1.7, v0=0.7, m=0.25, sigma=0.0)
         alpha = 0.9
-        a = alpha * p.cap * p.m**2
-        b = 2.0 * alpha * p.cap * p.v0 * p.m
-        c = alpha * p.cap * p.v0**2
+        a, b, c, d = true_cubic_coeffs(p, alpha)
         for phi in (0.8, 1.5, 2.2, 2.9, 3.4):
-            poly = ((a * phi + b) * phi + c) * phi
+            poly = ((a * phi + b) * phi + c) * phi + d
             assert p.dynamic_power(alpha, phi) == pytest.approx(poly, rel=1e-12)
 
     def test_rejects_non_positive_activity(self):
         with pytest.raises(ValueError):
             PlantParams().dynamic_power(0.0, 2.0)
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            PlantParams().voltage(0.0)
 
 
 class TestStaticPower:
@@ -79,12 +79,7 @@ class TestStaticPower:
         p_total = params.dynamic_power(plant.alpha, plant.freq) + plant.static_power()
         share = plant.static_power() / p_total
         assert 0.20 <= share <= 0.30
-        # independent fixed-point oracle: iterate P = P_dyn + sigma*V*(1+kappa*r_th*P)
-        p = params.dynamic_power(1.0, 2.0)
-        for _ in range(200):
-            p = params.dynamic_power(1.0, 2.0) + params.sigma * params.voltage(2.0) * (
-                1.0 + params.kappa * params.r_th * p)
-        assert p_total == pytest.approx(p, rel=1e-6)
+        assert p_total == pytest.approx(steady_power(params, 1.0, 2.0), rel=1e-6)
 
 
 class TestApplyFrequency:
@@ -138,7 +133,7 @@ class TestAdvance:
                              r_th=2.0, tau_th=100.0)
         plant = Plant(params, constant_profile(), u0=2.0, counter_phase_ms=0.0)
         plant.advance(100.0)  # one time constant at constant 10 W
-        expected = params.t_amb + 10.0 * params.r_th * (1.0 - math.exp(-1.0))
+        expected = params.t_amb + first_order_rise(10.0, params.r_th, params.tau_th, 100.0)
         assert plant.temp == pytest.approx(expected, rel=0.01)
 
     @pytest.mark.parametrize("t_ms", [1.0, 100.0, 700.0])
@@ -194,9 +189,24 @@ class TestAdvance:
                 plant.advance(1.0)
         assert plant.clock_ms == 5.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=st.floats(0.5, 3.0), r_th=st.floats(0.5, 5.0), ulps=st.integers(-4, 4),
+           omega=st.sampled_from([DEFAULT_OMEGA, FrequencyRange(0.8, 3.4)]))
+    def test_plant_that_passes_construction_does_not_run_away(self, sigma, r_th, ulps, omega):
+        # kappa within 4 ulps of the runaway boundary at 3.4 GHz: the
+        # construction check must round beta as the step does
+        kappa = 1.0 / (r_th * sigma * PlantParams().voltage(3.4))
+        params = PlantParams(sigma=sigma, kappa=kappa + ulps * math.ulp(kappa), r_th=r_th)
+        try:
+            plant = Plant(params, constant_profile(), u0=3.4, omega=omega, counter_phase_ms=0.0)
+        except ValueError as exc:
+            assert "thermal runaway" in str(exc)
+        else:
+            plant.advance(1.0)
+
     def test_rejects_bad_dt(self):
         plant = Plant(PlantParams(), constant_profile(), u0=2.0, counter_phase_ms=0.0)
-        for dt in (0.0, -1.0, float("nan"), float("inf")):
+        for dt in (0.0, -1.0, float("nan"), float("inf"), 0.0004):
             with pytest.raises(ValueError):
                 plant.advance(dt)
 
@@ -242,7 +252,7 @@ class TestEnergyCounter:
             for _ in range(5):
                 plant.advance(2.0)
                 plant.apply_frequency(rng.choice(DEFAULT_OMEGA.levels))
-        p_max = params.dynamic_power(1.0, 3.4) + params.sigma * params.voltage(3.4)
+        p_max = steady_power(params, 1.0, 3.4)
         derived = shifted.read_energy() / 10e-3
         true_avg = exact.energy_acc / 10e-3
         assert abs(derived - true_avg) <= (1.0 / 10.0) * p_max
@@ -312,10 +322,7 @@ class TestCubicGroundTruth:
                           counter_phase_ms=0.0)
             plant.advance(10.0)
             est.update(phi, plant.read_energy() / 10e-3)
-        a = alpha * params.cap * params.m**2
-        b = 2.0 * alpha * params.cap * params.v0 * params.m
-        c = alpha * params.cap * params.v0**2 + params.sigma * params.m
-        d = params.sigma * params.v0
+        a, b, c, d = true_cubic_coeffs(params, alpha)
         got = est.model
         assert got.a == pytest.approx(a, abs=1e-6)
         assert got.b == pytest.approx(b, abs=1e-6)

@@ -8,27 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerreg.freqset import DEFAULT_LEVELS
+from powerreg.oracles import batch_cubic_fit
 from powerreg.sysid import CubicModel, RlsEstimator
-
-
-def regressors(phis):
-    phis = np.asarray(phis, dtype=float)
-    return np.vstack([phis**3, phis**2, phis, np.ones_like(phis)]).T
-
-
-def batch_lstsq(phis, ys):
-    coeffs, *_ = np.linalg.lstsq(regressors(phis), np.asarray(ys, float), rcond=None)
-    return coeffs
-
-
-def regularized_batch(phis, ys, lam, p0, x0=np.zeros(4)):
-    """Normal-equation solution of the exact criterion RLS minimizes."""
-    h = regressors(phis)
-    n = len(phis)
-    w = lam ** (n - 1 - np.arange(n))
-    gram = (h * w[:, None]).T @ h + (lam**n / p0) * np.eye(4)
-    rhs = (h * w[:, None]).T @ np.asarray(ys, float) + (lam**n / p0) * x0
-    return np.linalg.solve(gram, rhs)
 
 
 def textbook_rls(samples, lam, p0):
@@ -72,13 +53,15 @@ class TestInit:
 class TestUpdate:
     def test_matches_regularized_batch_solution_exactly(self):
         # the recursion is algebraically the regularized batch solve; with a
-        # finite prior (p0=1e6) both must agree to near machine precision
-        est = RlsEstimator(forgetting=1.0, p0=1e6)
+        # finite prior both must agree to near machine precision, also when
+        # a strong prior (p0=1e2) pulls the estimate towards a nonzero x0
         ys = [p**3 for p in FIVE_PHIS]
-        for phi, y in zip(FIVE_PHIS, ys):
-            est.update(phi, y)
-        expected = regularized_batch(FIVE_PHIS, ys, 1.0, 1e6)
-        assert est.model.as_array() == pytest.approx(expected, abs=1e-10)
+        for p0, x0 in [(1e6, CubicModel()), (1e2, CubicModel(0.5, -1.0, 2.0, 3.0))]:
+            est = RlsEstimator(forgetting=1.0, p0=p0, x0=x0)
+            for phi, y in zip(FIVE_PHIS, ys):
+                est.update(phi, y)
+            expected = batch_cubic_fit(FIVE_PHIS, ys, 1.0, p0=p0, x0=x0)
+            assert est.model.as_array() == pytest.approx(expected, abs=1e-10)
 
     def test_noiseless_cube_recovery(self):
         # with a weak prior the estimate lands on the generating cubic
@@ -105,7 +88,7 @@ class TestUpdate:
             est.update(phi, y)
         # weighted batch solve as the oracle; with noiseless data it equals
         # the generating coefficients
-        oracle = regularized_batch(phis, ys, 0.98, 1e8)
+        oracle = batch_cubic_fit(phis, ys, 0.98, p0=1e8)
         assert est.model.as_array() == pytest.approx(oracle, abs=1e-9)
         assert est.model.as_array() == pytest.approx([2.0, 0.5, 1.0, 3.0], abs=1e-4)
 
@@ -172,7 +155,7 @@ class TestOracleEquivalence:
             est = RlsEstimator(forgetting=1.0, p0=1e13)
             for phi, y in zip(phis, ys):
                 est.update(phi, y)
-            expected = batch_lstsq(phis, ys)
+            expected = batch_cubic_fit(phis, ys)
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(est.model.as_array() - expected)) <= 1e-8 * scale
 

@@ -80,6 +80,8 @@ class TestSampleAlpha:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             make_profile("constant", seed=1).sample_alpha(-0.1)
+        with pytest.raises(ValueError):
+            make_profile("constant", seed=1).next_change_ms(-0.1)
 
     def test_long_run_average(self):
         # time average over 100 s approaches mean*(1 - f*(1 - s))

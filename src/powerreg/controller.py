@@ -64,14 +64,9 @@ class IntegralController:
         self.omega = omega
         self.deriv_floor = deriv_floor
         self.projected_state = projected_state
-        self.reset(u0)
-
-    def reset(self, u0: float) -> None:
-        """Restart from frequency u0 with zero accumulated error."""
-        check_frequency(u0, self.omega)
+        check_frequency(u0, omega)
         self.u_prev = u0
         self._u_raw = u0
-        self.e_prev = 0.0
 
     def step(self, target: float, y_prev: float, deriv_estimate: float) -> float:
         """Compute the next frequency from last cycle's measured power.
@@ -85,5 +80,4 @@ class IntegralController:
         u = self.omega.project(raw) if self.omega is not None else raw
         self._u_raw = raw
         self.u_prev = u
-        self.e_prev = e
         return u

@@ -18,7 +18,7 @@ import csv
 import math
 import re
 import statistics
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
@@ -95,8 +95,9 @@ class _Key:
 
 
 # Every config key, in the sections and order `powerreg defaults` prints.
-# The plant's defaults, the ladder and the derivative floor are stated by
-# the modules that own them, and only printed here.
+# The plant's defaults, the workload example values (the compute_bound
+# preset), the ladder and the derivative floor are stated by the modules
+# that own them, and only printed here.
 _SCHEMA: tuple[tuple[str, tuple[_Key, ...]], ...] = (
     ("experiment", (
         _Key("target_w", _parse_float, "10.0"),
@@ -111,11 +112,10 @@ _SCHEMA: tuple[tuple[str, tuple[_Key, ...]], ...] = (
     )),
     ("workload (unset numeric fields fall back to the kind's preset)", (
         _Key("workload.kind", str, "constant"),
-        _Key("workload.alpha_mean", _parse_float, "1.0", optional=True),
-        _Key("workload.alpha_jitter", _parse_float, "0.05", optional=True),
-        _Key("workload.switch_period_ms", _parse_float, "40.0", optional=True),
-        _Key("workload.stall_fraction", _parse_float, "0.05", optional=True),
-        _Key("workload.stall_alpha_scale", _parse_float, "0.6", optional=True),
+    ) + tuple(
+        _Key(f"workload.{name}", _parse_float, repr(value), optional=True)
+        for name, value in asdict(make_profile("compute_bound", seed=0)).items()
+        if name not in ("kind", "seed")
     )),
     ("plant", tuple(
         _Key(f"plant.{name}", _parse_float, repr(value))

@@ -7,11 +7,10 @@ derivative dp/dphi feeds the controller's gain.
 
 The update runs once per control cycle, so it is written in plain floats:
 the symmetric 4x4 covariance P is held as its 10 unique entries (upper
-triangle, row by row) and each step is unrolled, with no array library on
-the decision path. P stays symmetric by construction. numpy is imported only
-when a caller asks for an array view (`RlsEstimator.P`,
-`CubicModel.as_array`). The model is an immutable named tuple of finite
-coefficients, so the update's one new model per cycle is a tuple build.
+triangle, row by row) and each step is unrolled, with no array library.
+P stays symmetric by construction. The model is an immutable named tuple of
+finite coefficients, so the update's one new model per cycle is a tuple
+build.
 
 Frequencies are expected in GHz. That keeps the regressor (phi^3, phi^2,
 phi, 1) well conditioned (phi^3 <= ~40 on commodity parts); feeding Hz-scale
@@ -21,10 +20,7 @@ values would destroy the conditioning of the covariance update.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, NamedTuple
 
 
 def _check_coefficients(a: float, b: float, c: float, d: float) -> None:
@@ -74,12 +70,6 @@ class CubicModel(_Coefficients):
             raise ValueError("frequency must be finite")
         return (3.0 * self.a * phi + 2.0 * self.b) * phi + self.c
 
-    def as_array(self) -> np.ndarray:
-        """The coefficients as a numpy vector (imports numpy)."""
-        import numpy as np
-
-        return np.array([self.a, self.b, self.c, self.d], dtype=float)
-
     @classmethod
     def from_array(cls, x: Iterable[float]) -> "CubicModel":
         a, b, c, d = (float(v) for v in x)
@@ -106,15 +96,13 @@ class RlsEstimator:
         self.sample_count = 0
 
     @property
-    def P(self) -> np.ndarray:
-        """The covariance as a symmetric 4x4 numpy array (imports numpy)."""
-        import numpy as np
-
+    def P(self) -> tuple[tuple[float, ...], ...]:
+        """The covariance as a symmetric 4x4 tuple of float rows."""
         p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = self._p
-        return np.array([[p00, p01, p02, p03],
-                         [p01, p11, p12, p13],
-                         [p02, p12, p22, p23],
-                         [p03, p13, p23, p33]])
+        return ((p00, p01, p02, p03),
+                (p01, p11, p12, p13),
+                (p02, p12, p22, p23),
+                (p03, p13, p23, p33))
 
     def update(self, phi: float, power: float) -> CubicModel:
         """Fold one (frequency, measured power) sample into the estimate.

@@ -158,13 +158,23 @@ class TestDefaults:
         parse_config(out)
 
 
-def test_import_path_loads_no_numpy():
+def test_import_path_loads_no_numpy(tmp_path):
+    # With numpy blocked, any import of it raises: run, sweep and defaults
+    # still print their pinned output, and only oracle fails, naming numpy.
     src = os.path.dirname(os.path.dirname(powerreg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, powerreg, powerreg.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    for command in (*STDOUT_DIGESTS, "oracle"):
+        probe = ("import sys; sys.modules['numpy'] = None; from powerreg.cli import main; "
+                 f"raise SystemExit(main([{command!r}]))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        if command == "oracle":
+            assert proc.returncode == 3
+            assert "numpy" in proc.stderr
+        else:
+            assert proc.returncode == 0, proc.stderr
+            digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+            assert digest == STDOUT_DIGESTS[command], command
 
 
 def test_requires_subcommand():

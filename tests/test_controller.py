@@ -71,7 +71,6 @@ class TestStep:
         assert u == 2.5
         assert u in DEFAULT_OMEGA
         assert ctrl.u_prev == 2.5
-        assert ctrl.e_prev == 2.0
 
     def test_zero_error_is_fixed_point(self):
         ctrl = IntegralController(DEFAULT_OMEGA, u0=2.0)
@@ -80,13 +79,12 @@ class TestStep:
     def test_state_unchanged_on_bad_input(self):
         ctrl = IntegralController(DEFAULT_OMEGA, u0=2.0)
         ctrl.step(10.0, 8.0, 4.0)
-        u_prev, e_prev = ctrl.u_prev, ctrl.e_prev
+        u_prev = ctrl.u_prev
         with pytest.raises(ValueError):
             ctrl.step(10.0, float("nan"), 4.0)
         with pytest.raises(ValueError):
             ctrl.step(float("inf"), 8.0, 4.0)
         assert ctrl.u_prev == u_prev
-        assert ctrl.e_prev == e_prev
 
     def test_cube_root_iteration_converges(self):
         # continuous frequencies, plant y = u^3, exact derivative: the loop is
@@ -107,27 +105,6 @@ class TestStep:
         for expected in ref[1:]:
             u = ctrl.step(8.0, u**3, 3.0 * u * u)
             assert u == pytest.approx(expected, rel=1e-13)
-
-
-class TestReset:
-    def test_reset_to_levels(self):
-        ctrl = IntegralController(DEFAULT_OMEGA, u0=2.0)
-        ctrl.step(10.0, 8.0, 4.0)
-        ctrl.reset(0.8)
-        assert ctrl.u_prev == 0.8
-        assert ctrl.e_prev == 0.0
-        ctrl.reset(2.0)
-        assert ctrl.u_prev == 2.0
-
-    def test_reset_off_ladder_rejected(self):
-        ctrl = IntegralController(DEFAULT_OMEGA, u0=2.0)
-        with pytest.raises(ValueError):
-            ctrl.reset(0.9)
-
-    def test_continuous_reset_accepts_any_positive(self):
-        ctrl = IntegralController(None, u0=2.0)
-        ctrl.reset(0.9)
-        assert ctrl.u_prev == 0.9
 
 
 class TestNewtonBehavior:
@@ -205,6 +182,12 @@ class TestRawStateVariant:
         raw = IntegralController(DEFAULT_OMEGA, u0=2.0, projected_state=False)
         # one step from a common state is identical
         assert proj.step(10.0, 8.0, 4.0) == raw.step(10.0, 8.0, 4.0)
+
+
+def test_starts_from_u0():
+    assert IntegralController(DEFAULT_OMEGA, u0=0.8).u_prev == 0.8
+    # continuous mode accepts a start frequency off the ladder
+    assert IntegralController(None, u0=0.9).u_prev == 0.9
 
 
 def test_invalid_u0_rejected():

@@ -15,9 +15,9 @@ def constant_profile(seed=0, alpha=1.0):
     return make_profile("constant", seed=seed, alpha_mean=alpha)
 
 
-def ten_watt_params():
+def ten_watt_params(**overrides):
     # alpha*C*V^2*phi = 1*2*1*2 = 4 W dynamic, sigma*V = 6 W static, kappa = 0
-    return PlantParams(cap=2.0, v0=1.0, m=0.0, sigma=6.0, kappa=0.0)
+    return PlantParams(cap=2.0, v0=1.0, m=0.0, sigma=6.0, kappa=0.0, **overrides)
 
 
 class TestVoltage:
@@ -128,18 +128,12 @@ class TestAdvance:
         plant.advance(1000.0)
         assert plant.temp == pytest.approx(params.t_amb, abs=1e-12)
 
-    def test_first_order_step_response(self):
-        params = PlantParams(cap=2.0, v0=1.0, m=0.0, sigma=6.0, kappa=0.0,
-                             r_th=2.0, tau_th=100.0)
-        plant = Plant(params, constant_profile(), u0=2.0, counter_phase_ms=0.0)
-        plant.advance(100.0)  # one time constant at constant 10 W
-        expected = params.t_amb + first_order_rise(10.0, params.r_th, params.tau_th, 100.0)
-        assert plant.temp == pytest.approx(expected, rel=0.01)
-
-    @pytest.mark.parametrize("t_ms", [1.0, 100.0, 700.0])
-    def test_kappa_zero_rise_is_exact(self, t_ms):
+    @pytest.mark.parametrize("t_ms, tau_th", [
+        (1.0, 200.0), (100.0, 200.0), (700.0, 200.0), (100.0, 100.0),
+    ], ids=["1.0", "100.0", "700.0", "one_time_constant"])
+    def test_kappa_zero_rise_is_exact(self, t_ms, tau_th):
         # constant 10 W: the closed-form step is exact, not just first-order
-        params = ten_watt_params()
+        params = ten_watt_params(tau_th=tau_th)
         plant = Plant(params, constant_profile(), u0=2.0, counter_phase_ms=0.0)
         plant.advance(t_ms)
         expected = first_order_rise(10.0, params.r_th, params.tau_th, t_ms)

@@ -61,14 +61,14 @@ class TestUpdate:
             for phi, y in zip(FIVE_PHIS, ys):
                 est.update(phi, y)
             expected = batch_cubic_fit(FIVE_PHIS, ys, 1.0, p0=p0, x0=x0)
-            assert est.model.as_array() == pytest.approx(expected, abs=1e-10)
+            assert np.array(est.model) == pytest.approx(expected, abs=1e-10)
 
     def test_noiseless_cube_recovery(self):
         # with a weak prior the estimate lands on the generating cubic
         est = RlsEstimator(forgetting=1.0, p0=1e9)
         for phi in FIVE_PHIS:
             est.update(phi, phi**3)
-        assert est.model.as_array() == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-6)
+        assert np.array(est.model) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-6)
 
     def test_single_update_is_gain_times_measurement(self):
         p0, lam, phi, power = 1e3, 1.0, 2.0, 9.0
@@ -76,7 +76,7 @@ class TestUpdate:
         est.update(phi, power)
         h = np.array([phi**3, phi**2, phi, 1.0])
         k = (p0 * h) / (lam + p0 * (h @ h))
-        assert est.model.as_array() == pytest.approx(k * power, rel=1e-12)
+        assert np.array(est.model) == pytest.approx(k * power, rel=1e-12)
         assert est.sample_count == 1
 
     def test_forgetting_recovery_of_known_cubic(self):
@@ -89,39 +89,39 @@ class TestUpdate:
         # weighted batch solve as the oracle; with noiseless data it equals
         # the generating coefficients
         oracle = batch_cubic_fit(phis, ys, 0.98, p0=1e8)
-        assert est.model.as_array() == pytest.approx(oracle, abs=1e-9)
-        assert est.model.as_array() == pytest.approx([2.0, 0.5, 1.0, 3.0], abs=1e-4)
+        assert np.array(est.model) == pytest.approx(oracle, abs=1e-9)
+        assert np.array(est.model) == pytest.approx([2.0, 0.5, 1.0, 3.0], abs=1e-4)
 
     def test_state_unchanged_on_bad_input(self):
         est = RlsEstimator(forgetting=0.98, p0=1e3)
         est.update(2.0, 5.0)
-        x, p, n = est.model, est.P.copy(), est.sample_count
+        x, p, n = est.model, est.P, est.sample_count
         for phi, power in [(float("nan"), 1.0), (-1.0, 1.0), (0.0, 1.0),
                            (2.0, float("inf"))]:
             with pytest.raises(ValueError):
                 est.update(phi, power)
         assert est.model == x
-        assert np.array_equal(est.P, p)
+        assert est.P == p
         assert est.sample_count == n
 
     def test_overflowing_update_is_named_and_leaves_state(self):
         # the new coefficient a is -inf: the update is refused before P moves
         est = RlsEstimator(0.98, 1e3, CubicModel(1e307, 0, 0, 0))
-        x, p = est.model, est.P.copy()
+        x, p = est.model, est.P
         with pytest.raises(ValueError, match="coefficient a must be finite"):
             est.update(3.4, -1e308)
         assert est.model == x
-        assert np.array_equal(est.P, p)
+        assert est.P == p
         assert est.sample_count == 0
 
     def test_degenerate_covariance_is_named_and_leaves_state(self):
         # p0 * h'h overflows: lambda + h'Ph is inf on the first sample
         est = RlsEstimator(0.98, 1e307)
-        x, p = est.model, est.P.copy()
+        x, p = est.model, est.P
         with pytest.raises(ValueError, match="RLS covariance"):
             est.update(3.4, 10.0)
         assert est.model == x
-        assert np.array_equal(est.P, p)
+        assert est.P == p
         assert est.sample_count == 0
 
     @settings(max_examples=200, deadline=None)
@@ -134,11 +134,11 @@ class TestUpdate:
         for phi, y in samples:
             est.update(phi, y)
         x, p = textbook_rls(samples, lam, p0)
-        got = est.model.as_array()
+        got, cov = np.array(est.model), np.array(est.P)
         assert np.max(np.abs(got - x)) <= 1e-7 * np.max(np.abs(x))
-        assert est.P.shape == (4, 4)
-        assert np.array_equal(est.P, est.P.T)
-        assert np.max(np.abs(est.P - p)) <= 1e-7 * np.max(np.abs(p))
+        assert cov.shape == (4, 4)
+        assert np.array_equal(cov, cov.T)
+        assert np.max(np.abs(cov - p)) <= 1e-7 * np.max(np.abs(p))
 
 
 class TestOracleEquivalence:
@@ -157,7 +157,7 @@ class TestOracleEquivalence:
                 est.update(phi, y)
             expected = batch_cubic_fit(phis, ys)
             scale = np.max(np.abs(expected))
-            assert np.max(np.abs(est.model.as_array() - expected)) <= 1e-8 * scale
+            assert np.max(np.abs(np.array(est.model) - expected)) <= 1e-8 * scale
 
     def test_covariance_stays_symmetric_and_positive_definite(self):
         rng = random.Random(7)
@@ -165,8 +165,9 @@ class TestOracleEquivalence:
         for _ in range(300):
             phi = rng.uniform(0.8, 3.4)
             est.update(phi, rng.uniform(2.0, 15.0))
-            assert np.array_equal(est.P, est.P.T)
-            np.linalg.cholesky(est.P)  # raises if not positive definite
+            cov = np.array(est.P)
+            assert np.array_equal(cov, cov.T)
+            np.linalg.cholesky(cov)  # raises if not positive definite
 
 
 class TestForgetting:
@@ -248,7 +249,7 @@ class TestCubicModel:
         est = RlsEstimator(0.98, 1e3)
         m = est.update(2.0, 5.0)
         assert type(m) is CubicModel and m is est.model
-        assert CubicModel.from_array(m.as_array()) == m
+        assert CubicModel.from_array(np.array(m)) == m
 
     def test_rejects_non_finite_phi(self):
         m = CubicModel(1, 1, 1, 1)

@@ -14,16 +14,17 @@ derive average power as delta(counter) / delta(time).
 Time is tracked in integer microseconds. Between events (activity switches
 and pending frequency changes) alpha and phi are constant, so the thermal
 ODE is linear and temperature and energy are advanced in one exact
-closed-form step per event. The step's coefficients depend only on the
-operating point (phi, alpha), so they are cached and recomputed only when
-phi or alpha differs from the values they were computed for. A read sees
-only the last grid instant at or before the end of an advance, so that is
-the one instant at which the counter is snapshotted. The class implements the same apply/advance/read
+closed-form step per event. `advance` walks its interval in one loop that
+stops only at events and at the last grid instant it crosses, the only one a
+read can see and so the one at which the counter is snapshotted. The step's
+coefficients are cached per frequency; the two that also depend on alpha are
+recomputed at each event. The class implements the same apply/advance/read
 seam a hardware driver would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, fields
@@ -94,6 +95,18 @@ class PlantParams:
         return alpha * self.cap * v * v * phi
 
 
+def _freq_coefficients(p: PlantParams, freq: float) -> tuple[float, float, float, float, float]:
+    """The step coefficients that depend on freq alone: (v, sigma*v, g*tau, beta, -beta)."""
+    # With x = temp - t_amb, power is q + g*x and tau*x' = r_th*q - beta*x.
+    v = p.voltage(freq)
+    sv = p.sigma * v
+    g = sv * p.kappa
+    beta = 1.0 - p.r_th * g
+    if beta <= 0.0:
+        raise ValueError(_RUNAWAY)
+    return v, sv, g * p.tau_th, beta, -beta
+
+
 class Plant:
     """Simulated processor with an energy counter and a thermal state.
 
@@ -116,14 +129,13 @@ class Plant:
         self.omega = omega
         check_frequency(u0, omega)
         if omega is not None:
-            # beta falls as phi rises (see _integrate_to), so the top level
+            # beta falls as phi rises (see _freq_coefficients), so the top level
             # is the first to run away. beta is rounded as the step rounds it,
             # so a plant that passes here never runs away mid-run.
             top = omega.max_level
             if 1.0 - params.r_th * (params.sigma * params.voltage(top) * params.kappa) <= 0.0:
                 raise ValueError(f"{_RUNAWAY} at {top} GHz")
         self.freq = u0
-        self.alpha = profile.sample_alpha(0.0)
         self.temp = params.t_amb
         self.energy_acc = 0.0
         self.counter_joules = 0.0
@@ -135,13 +147,14 @@ class Plant:
             # A phase that rounds up to a whole grid period is phase 0.
             self._phase_us = int(round(counter_phase_ms * 1000.0)) % _GRID_US
         self._clock_us = 0
-        # The operating point of the last integration and its step
-        # coefficients: (freq, alpha, q, g*tau, beta, -beta, r_th*q/beta).
-        # No operating point matches (None, None), so the first integration
-        # computes them.
-        self._op: tuple = (None, None)
+        # At most 64 frequencies: a ladder's levels all fit, and a continuous
+        # range cannot grow the cache without bound.
+        self._coeffs = functools.lru_cache(maxsize=64)(
+            functools.partial(_freq_coefficients, params))
         self._pending: list[tuple[int, float]] = []
-        self._next_alpha_us = self._alpha_change_after(0)
+        # Alpha's first change falls due now: firing it samples alpha at 0.
+        self._next_alpha_us = 0
+        self._fire_events()
 
     # -- contract surface -------------------------------------------------
 
@@ -167,6 +180,7 @@ class Plant:
         else:
             due = self._clock_us + int(round(self.params.latency_ms * 1000.0))
             self._pending.append((due, phi))
+            self._next_event_us = min(self._next_event_us, due)
 
     def read_energy(self) -> float:
         """Energy counter value: last grid-aligned snapshot, joules."""
@@ -179,60 +193,51 @@ class Plant:
         dt_us = int(round(dt_ms * 1000.0))
         if dt_us < 1:
             raise ValueError("dt_ms must be at least 1 microsecond")
-        end_us = self._clock_us + dt_us
+        clock, temp, energy = self._clock_us, self.temp, self.energy_acc
+        end_us = clock + dt_us
         # The last grid instant at or before end_us; earlier ones are
         # overwritten before anyone can read them.
         snap_us = end_us - (end_us - self._phase_us) % _GRID_US
-        if snap_us > self._clock_us:
-            self._run_to(snap_us)
-            self.counter_joules = self.energy_acc
-        self._run_to(end_us)
+        t_amb, tau = self.params.t_amb, self.params.tau_th
+        q, x_inf, g_tau, beta, nbeta = self._step_coefficients()
+        while clock < end_us:
+            stop_us = snap_us if clock < snap_us else end_us
+            event_us = self._next_event_us
+            seg_us = event_us if event_us < stop_us else stop_us
+            t_ms = (seg_us - clock) * 1e-3
+            dx = (x_inf - (temp - t_amb)) * -math.expm1(nbeta * t_ms / tau)
+            # kappa >= 0 and temp >= t_amb keep power >= q > 0: no clamp needed.
+            # Energy from tau*dx = r_th*E - integral(x dt), in mJ, then J.
+            energy += (q * t_ms - g_tau * dx) / beta * 1e-3
+            temp += dx
+            clock = seg_us
+            if clock == snap_us:
+                self.counter_joules = energy
+            if clock == event_us:
+                # Written back first: a raise below leaves the state at the event.
+                self._clock_us, self.temp, self.energy_acc = clock, temp, energy
+                self._fire_events()
+                if clock < end_us:  # at end_us the next advance does it, and raises there
+                    q, x_inf, g_tau, beta, nbeta = self._step_coefficients()
+        self._clock_us, self.temp, self.energy_acc = clock, temp, energy
 
     # -- internals ---------------------------------------------------------
 
-    def _alpha_change_after(self, clock_us: int) -> float:
-        nxt_ms = self.profile.next_change_ms(clock_us / 1000.0)
-        if math.isinf(nxt_ms):
-            return math.inf
-        return max(math.ceil(nxt_ms * 1000.0), clock_us + 1)
-
-    def _run_to(self, end_us: int) -> None:
-        while self._clock_us < end_us:
-            due_us = self._pending[0][0] if self._pending else math.inf
-            self._integrate_to(min(end_us, self._next_alpha_us, due_us))
-            self._fire_events()
-
-    def _integrate_to(self, event_us: int) -> None:
-        p = self.params
-        freq, alpha = self.freq, self.alpha
-        op = self._op
-        if freq == op[0] and alpha == op[1]:
-            _, _, q, g_tau, beta, nbeta, x_inf = op
-        else:
-            # With x = temp - t_amb, power is q + g*x and tau*x' = r_th*q - beta*x.
-            v = p.voltage(freq)
-            sv = p.sigma * v
-            q = alpha * p.cap * v * v * freq + sv
-            g = sv * p.kappa
-            beta = 1.0 - p.r_th * g
-            if beta <= 0.0:
-                raise ValueError(_RUNAWAY)
-            g_tau, nbeta, x_inf = g * p.tau_th, -beta, p.r_th * q / beta
-            self._op = (freq, alpha, q, g_tau, beta, nbeta, x_inf)
-        t_ms = (event_us - self._clock_us) * 1e-3
-        x = self.temp - p.t_amb
-        dx = (x_inf - x) * -math.expm1(nbeta * t_ms / p.tau_th)
-        # kappa >= 0 and temp >= t_amb keep power >= q > 0: no clamp needed.
-        # Energy from tau*dx = r_th*E - integral(x dt), in mJ, then J.
-        self.energy_acc += (q * t_ms - g_tau * dx) / beta * 1e-3
-        self.temp += dx
-        self._clock_us = event_us
+    def _step_coefficients(self) -> tuple[float, float, float, float, float]:
+        """(q, x_inf, g*tau, beta, -beta) at the current operating point."""
+        p, freq = self.params, self.freq
+        v, sv, g_tau, beta, nbeta = self._coeffs(freq)
+        q = self.alpha * p.cap * v * v * freq + sv
+        return q, p.r_th * q / beta, g_tau, beta, nbeta
 
     def _fire_events(self) -> None:
         now = self._clock_us
         if now >= self._next_alpha_us:
             self.alpha = self.profile.sample_alpha(now / 1000.0)
-            self._next_alpha_us = self._alpha_change_after(now)
-        while self._pending and self._pending[0][0] <= now:
-            _, phi = self._pending.pop(0)
-            self.freq = phi
+            nxt_ms = self.profile.next_change_ms(now / 1000.0)
+            self._next_alpha_us = (math.inf if math.isinf(nxt_ms)
+                                   else max(math.ceil(nxt_ms * 1000.0), now + 1))
+        pending = self._pending
+        while pending and pending[0][0] <= now:
+            self.freq = pending.pop(0)[1]
+        self._next_event_us = min(self._next_alpha_us, pending[0][0] if pending else math.inf)

@@ -14,7 +14,11 @@ dwell then value, so interval i always gets draws 2i and 2i+1 of its stream.
 Sampling is therefore a pure function of (profile, t): trajectories do not
 depend on the order in which the caller asks for times. A profile builds its
 level and stall processes once, at construction, and leaves out each one that
-cannot change alpha.
+cannot change alpha. Each process keeps a cursor on the interval it found
+last and tries that interval and the next before it bisects. A profile
+answers alpha and the next change from one lookup of each process and keeps
+both for the last time asked, as the plant asks for the two at one time.
+Neither changes an answer, only where it is looked up, so sampling stays pure.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ class _Renewal:
         self._means = means
         self._bounds: list[float] = [0.0]
         self._values: list[float] = []
+        self._cursor = 0
 
     def _extend(self) -> None:
         mean = self._means[len(self._values) % len(self._means)]
@@ -71,10 +76,15 @@ class _Renewal:
 
     def locate(self, t: float) -> tuple[int, float, float]:
         """Return (index, value draw in [0,1), interval end) for time t."""
-        while self._bounds[-1] <= t:
+        bounds = self._bounds
+        while bounds[-1] <= t:
             self._extend()
-        i = bisect.bisect_right(self._bounds, t) - 1
-        return i, self._values[i], self._bounds[i + 1]
+        i = self._cursor
+        if not bounds[i] <= t < bounds[i + 1]:
+            # The next interval, else a bisect; t < bounds[-1] keeps i + 2 in range.
+            self._cursor = i = (i + 1 if bounds[i + 1] <= t < bounds[i + 2]
+                                else bisect.bisect_right(bounds, t) - 1)
+        return i, self._values[i], bounds[i + 1]
 
 
 @dataclass(frozen=True)
@@ -126,18 +136,29 @@ class WorkloadProfile:
             stalls = _Renewal(f"{self.seed}:stalls", (busy_mean, stall_mean))
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_stalls", stalls)
+        object.__setattr__(self, "_last", (None,) * 3)  # (t, alpha, next change)
+
+    def _at(self, t_ms: float) -> tuple[float, float, float]:
+        """(t_ms, alpha at t_ms, next change after t_ms), one lookup per process."""
+        if self._last[0] == t_ms:
+            return self._last
+        if not 0.0 <= t_ms < math.inf:
+            raise ValueError(f"time must be finite and non-negative, got {t_ms!r}")
+        alpha, nxt = self.alpha_mean, math.inf
+        if self._levels is not None:
+            _, u, nxt = self._levels.locate(t_ms)
+            alpha = self.alpha_mean * (1.0 + self.alpha_jitter * (2.0 * u - 1.0))
+        if self._stalls is not None:
+            j, _, end = self._stalls.locate(t_ms)
+            if j % 2 == 1:
+                alpha *= self.stall_alpha_scale
+            nxt = min(nxt, end)
+        object.__setattr__(self, "_last", (t_ms, alpha, nxt))
+        return self._last
 
     def sample_alpha(self, t_ms: float) -> float:
         """Activity factor at time t_ms; pure function of (profile, t_ms)."""
-        if t_ms < 0.0:
-            raise ValueError("time must be non-negative")
-        alpha = self.alpha_mean
-        if self._levels is not None:
-            _, u, _ = self._levels.locate(t_ms)
-            alpha = self.alpha_mean * (1.0 + self.alpha_jitter * (2.0 * u - 1.0))
-        if self._stalls is not None and self._stalls.locate(t_ms)[0] % 2 == 1:
-            alpha *= self.stall_alpha_scale
-        return alpha
+        return self._at(t_ms)[1]
 
     def next_change_ms(self, t_ms: float) -> float:
         """Earliest time strictly after t_ms at which alpha may change.
@@ -145,14 +166,7 @@ class WorkloadProfile:
         Returns inf for a constant profile. Used by the plant to integrate
         alpha exactly as a piecewise-constant signal.
         """
-        if t_ms < 0.0:
-            raise ValueError("time must be non-negative")
-        nxt = math.inf
-        if self._levels is not None:
-            nxt = self._levels.locate(t_ms)[2]
-        if self._stalls is not None:
-            nxt = min(nxt, self._stalls.locate(t_ms)[2])
-        return nxt
+        return self._at(t_ms)[2]
 
 
 def make_profile(kind: str, seed: int, **overrides: float) -> WorkloadProfile:

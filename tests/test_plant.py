@@ -173,15 +173,27 @@ class TestAdvance:
             plant.advance(1.0)
 
     def test_thermal_runaway_raises_after_a_frequency_change(self):
-        # beta = 1 - 1.5*1.0*0.3*2 = 0.1 at 2.0 GHz, but < 0 at 3.4 GHz
-        plant = Plant(PlantParams(kappa=0.3), constant_profile(), u0=2.0,
-                      counter_phase_ms=0.0)
-        plant.advance(5.0)
-        plant.apply_frequency(3.4)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="thermal runaway"):
-                plant.advance(1.0)
-        assert plant.clock_ms == 5.0
+        # beta = 1 - 1.5*1.0*0.3*2 = 0.1 at 2.0 GHz, but < 0 at 3.4 GHz. With
+        # a latency the change falls due mid-advance, at 6.3 ms: the raise
+        # leaves the state there, as a plant advanced to that instant has it.
+        for latency_ms in (0.0, 1.3):
+            def at_5ms():
+                plant = Plant(PlantParams(kappa=0.3, latency_ms=latency_ms),
+                              constant_profile(), u0=2.0, counter_phase_ms=0.0)
+                plant.advance(5.0)
+                plant.apply_frequency(3.4)
+                return plant
+
+            plant = at_5ms()
+            for _ in range(2):
+                with pytest.raises(ValueError, match="thermal runaway"):
+                    plant.advance(2.0)
+            twin = at_5ms()
+            if latency_ms:
+                twin.advance(latency_ms)
+            assert plant.clock_ms == twin.clock_ms == 5.0 + latency_ms
+            assert plant.temp == pytest.approx(twin.temp, rel=1e-12)
+            assert plant.energy_acc == pytest.approx(twin.energy_acc, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(sigma=st.floats(0.5, 3.0), r_th=st.floats(0.5, 5.0), ulps=st.integers(-4, 4),
@@ -266,6 +278,48 @@ class TestEnergyCounter:
                 plant.apply_frequency(rng.choice(DEFAULT_OMEGA.levels))
                 readings[phase].append(plant.read_energy())
         assert readings[0.9996] == readings[0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(1, 10_000), phase_us=st.integers(0, 999),
+           latency_ms=st.sampled_from([0.0, 1.0]), warmup_ms=st.integers(0, 4),
+           warmup_offset_us=st.sampled_from([0, 1, 999, 337]),
+           steps_us=st.lists(st.sampled_from([1, 999, 1000, 1001, 2500, 10_000])
+                             | st.integers(1, 12_000), min_size=1, max_size=10),
+           level=st.sampled_from(DEFAULT_OMEGA.levels))
+    def test_counter_holds_the_energy_at_the_last_grid_instant(
+            self, seed, phase_us, latency_ms, warmup_ms, warmup_offset_us, steps_us, level):
+        # A warm-up ending on a grid instant (offset 0) makes a change with
+        # 1 ms latency fall due exactly on the next one.
+        warmup_us = warmup_ms * 1000 + (phase_us + warmup_offset_us) % 1000
+
+        def new_plant():
+            return Plant(PlantParams(latency_ms=latency_ms),
+                         make_profile("graph_irregular", seed=seed), u0=2.0,
+                         omega=DEFAULT_OMEGA, counter_phase_ms=phase_us / 1000.0)
+
+        def twin_energy(grid_us):
+            # A twin at grid_us, advanced past the warm-up in one call.
+            twin = new_plant()
+            if grid_us > warmup_us:
+                if warmup_us:
+                    twin.advance(warmup_us / 1000.0)
+                twin.apply_frequency(level)
+                twin.advance((grid_us - warmup_us) / 1000.0)
+            elif grid_us > 0:
+                twin.advance(grid_us / 1000.0)
+            return twin.energy_acc
+
+        plant = new_plant()
+        if warmup_us:
+            plant.advance(warmup_us / 1000.0)
+        plant.apply_frequency(level)
+        clock_us = warmup_us
+        for step_us in steps_us:
+            plant.advance(step_us / 1000.0)
+            clock_us += step_us
+            grid_us = clock_us - (clock_us - phase_us) % 1000
+            assert plant.read_energy() == pytest.approx(
+                twin_energy(grid_us), rel=1e-12, abs=0.0)
 
     def test_counter_never_decreases(self):
         rng = random.Random(77)

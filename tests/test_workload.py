@@ -23,6 +23,27 @@ def reference_intervals(key, means, n):
     return bounds, values
 
 
+def reference_profile(p, n):
+    """A varying profile's reference: a function from t to (alpha, next
+    change), and the bounds of the first n intervals of its level and stall
+    processes, drawn by reference_intervals, which that function covers."""
+    cycle = p.switch_period_ms / 2.0
+    lv_b, lv_v = reference_intervals(f"{p.seed}:levels", (p.switch_period_ms,), n)
+    st_b, _ = reference_intervals(
+        f"{p.seed}:stalls", ((1.0 - p.stall_fraction) * cycle, p.stall_fraction * cycle), n)
+
+    def at(t):
+        i = bisect.bisect_right(lv_b, t) - 1
+        j = bisect.bisect_right(st_b, t) - 1
+        assert i < n and j < n, "t is beyond the reference intervals"
+        alpha = p.alpha_mean * (1.0 + p.alpha_jitter * (2.0 * lv_v[i] - 1.0))
+        if j % 2 == 1:
+            alpha *= p.stall_alpha_scale
+        return alpha, min(lv_b[i + 1], st_b[j + 1])
+
+    return at, lv_b, st_b
+
+
 class TestMakeProfile:
     def test_constant_is_flat(self):
         p = make_profile("constant", seed=3)
@@ -83,6 +104,20 @@ class TestSampleAlpha:
         with pytest.raises(ValueError):
             make_profile("constant", seed=1).next_change_ms(-0.1)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, kind, t):
+        p = make_profile(kind, seed=1)
+        for query in (p.sample_alpha, p.next_change_ms):
+            with pytest.raises(ValueError, match="finite"):
+                query(t)
+        # after a finite query too, and the profile still answers afterwards
+        p.sample_alpha(3.0)
+        for query in (p.sample_alpha, p.next_change_ms):
+            with pytest.raises(ValueError, match="finite"):
+                query(t)
+        assert p.sample_alpha(3.0) == make_profile(kind, seed=1).sample_alpha(3.0)
+
     def test_long_run_average(self):
         # time average over 100 s approaches mean*(1 - f*(1 - s))
         p = make_profile("memory_bound", seed=23)
@@ -142,11 +177,7 @@ class TestStreamContract:
     @pytest.mark.parametrize("seed", [1, 9001])
     def test_first_200_intervals_match_reference(self, kind, seed):
         p = make_profile(kind, seed=seed)
-        cycle = p.switch_period_ms / 2.0
-        lv_b, lv_v = reference_intervals(f"{seed}:levels", (p.switch_period_ms,), 2000)
-        st_b, _ = reference_intervals(
-            f"{seed}:stalls",
-            ((1.0 - p.stall_fraction) * cycle, p.stall_fraction * cycle), 2000)
+        at, lv_b, st_b = reference_profile(p, 2000)
         horizon = max(lv_b[200], st_b[200])
         assert horizon < min(lv_b[-1], st_b[-1])
         changes = sorted(set(lv_b[1:] + st_b[1:]))
@@ -154,14 +185,39 @@ class TestStreamContract:
         for expected_next in changes:
             if t > horizon:
                 break
-            i = bisect.bisect_right(lv_b, t) - 1
-            j = bisect.bisect_right(st_b, t) - 1
-            alpha = p.alpha_mean * (1.0 + p.alpha_jitter * (2.0 * lv_v[i] - 1.0))
-            if j % 2 == 1:
-                alpha *= p.stall_alpha_scale
+            alpha, nxt = at(t)
+            assert nxt == expected_next
             assert p.sample_alpha(t) == alpha
             assert p.next_change_ms(t) == expected_next
             t = expected_next
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(VARYING_KINDS), seed=st.integers(0, 2**31),
+           start=st.integers(0, 299),
+           moves=st.lists(st.one_of(st.integers(-3, 3), st.integers(-300, 300)),
+                          min_size=1, max_size=40),
+           where=st.lists(st.sampled_from(["at", "ulp_before", "mid"]), min_size=40,
+                          max_size=40),
+           next_first=st.booleans())
+    def test_any_query_order_matches_reference(self, kind, seed, start, moves, where,
+                                               next_first):
+        # Walk the change times back and forth, in small steps and long jumps,
+        # querying exactly at a change, one ulp before it or between two: a
+        # lookup that reused a stale interval would answer for the wrong one.
+        p = make_profile(kind, seed=seed)
+        at, lv_b, st_b = reference_profile(p, 400)
+        changes = sorted(set(lv_b[1:] + st_b[1:]))
+        assert changes[299] < min(lv_b[-1], st_b[-1])
+        k = start
+        for move, spot in zip(moves, where):
+            k = min(max(k + move, 1), 299)
+            t = {"at": changes[k], "ulp_before": math.nextafter(changes[k], 0.0),
+                 "mid": (changes[k - 1] + changes[k]) / 2.0}[spot]
+            if next_first:
+                nxt = p.next_change_ms(t)
+                assert (p.sample_alpha(t), nxt) == at(t)
+            else:
+                assert (p.sample_alpha(t), p.next_change_ms(t)) == at(t)
 
 
 class TestQueryOrder:

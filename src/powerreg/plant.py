@@ -103,7 +103,7 @@ def _freq_coefficients(p: PlantParams, freq: float) -> tuple[float, float, float
     g = sv * p.kappa
     beta = 1.0 - p.r_th * g
     if beta <= 0.0:
-        raise ValueError(_RUNAWAY)
+        raise ValueError(f"{_RUNAWAY} at {freq} GHz")
     return v, sv, g * p.tau_th, beta, -beta
 
 
@@ -128,13 +128,14 @@ class Plant:
         self.profile = profile
         self.omega = omega
         check_frequency(u0, omega)
+        # At most 64 frequencies: a ladder's levels all fit, and a continuous
+        # range cannot grow the cache without bound.
+        self._coeffs = functools.lru_cache(maxsize=64)(
+            functools.partial(_freq_coefficients, params))
         if omega is not None:
             # beta falls as phi rises (see _freq_coefficients), so the top level
-            # is the first to run away. beta is rounded as the step rounds it,
-            # so a plant that passes here never runs away mid-run.
-            top = omega.max_level
-            if 1.0 - params.r_th * (params.sigma * params.voltage(top) * params.kappa) <= 0.0:
-                raise ValueError(f"{_RUNAWAY} at {top} GHz")
+            # is the first to run away.
+            self._coeffs(omega.max_level)
         self.freq = u0
         self.temp = params.t_amb
         self.energy_acc = 0.0
@@ -147,10 +148,6 @@ class Plant:
             # A phase that rounds up to a whole grid period is phase 0.
             self._phase_us = int(round(counter_phase_ms * 1000.0)) % _GRID_US
         self._clock_us = 0
-        # At most 64 frequencies: a ladder's levels all fit, and a continuous
-        # range cannot grow the cache without bound.
-        self._coeffs = functools.lru_cache(maxsize=64)(
-            functools.partial(_freq_coefficients, params))
         self._pending: list[tuple[int, float]] = []
         # Alpha's first change falls due now: firing it samples alpha at 0.
         self._next_alpha_us = 0

@@ -9,21 +9,21 @@ graph-processing programs differ in jitter, stall fraction, and dwell time.
 
 Each process draws from one random stream, seeded once from the profile's
 seed and the process name ("<seed>:levels", "<seed>:stalls"). Intervals are
-only ever appended at the end, in index order, and each takes two draws,
-dwell then value, so interval i always gets draws 2i and 2i+1 of its stream.
-Sampling is therefore a pure function of (profile, t): trajectories do not
-depend on the order in which the caller asks for times. A profile builds its
-level and stall processes once, at construction, and leaves out each one that
-cannot change alpha. Each process keeps a cursor on the interval it found
-last and tries that interval and the next before it bisects. A profile
-answers alpha and the next change from one lookup of each process and keeps
-both for the last time asked, as the plant asks for the two at one time.
-Neither changes an answer, only where it is looked up, so sampling stays pure.
+drawn in index order, each taking two draws, dwell then value, so interval i
+always gets draws 2i and 2i+1 of its stream. Sampling is therefore a pure
+function of (profile, t): trajectories do not depend on the order in which
+the caller asks for times. A profile builds its level and stall processes
+once, at construction, and leaves out each one that cannot change alpha.
+Each process keeps only its current interval and walks forward from it, so
+a profile's memory does not grow with simulated time. A query earlier than
+the current interval replays the stream from its start: two consumers that
+advance in lockstep should each have their own profile. A profile answers
+alpha and the next change from one lookup of each process and keeps both
+for the last time asked, as the plant asks for the two at one time.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -52,39 +52,38 @@ _PRESETS: dict[str, dict[str, float]] = {
 
 
 class _Renewal:
-    """Lazily built renewal sequence drawn from one random stream.
+    """Renewal sequence drawn forward from one random stream.
 
-    Interval i spans [bounds[i], bounds[i+1]); its dwell is exponential with
-    mean means[i % len(means)], and it carries a value draw in [0, 1).
-    Intervals are appended in index order only, each taking the dwell and
-    then the value from the stream seeded by key, so interval i holds draws
-    2i and 2i+1 however far ahead the caller has looked.
+    Interval i spans [start, end); its dwell is exponential with mean
+    means[i % len(means)], and it carries a value draw in [0, 1). Only the
+    current interval is kept; a query before it re-seeds the stream from key
+    and draws again from interval 0.
     """
 
     def __init__(self, key: str, means: tuple[float, ...]):
-        self._rng = random.Random(key)
+        self._key = key
         self._means = means
-        self._bounds: list[float] = [0.0]
-        self._values: list[float] = []
-        self._cursor = 0
+        self._rewind()
 
-    def _extend(self) -> None:
-        mean = self._means[len(self._values) % len(self._means)]
-        dwell = -mean * math.log1p(-self._rng.random())
-        self._bounds.append(self._bounds[-1] + dwell)
-        self._values.append(self._rng.random())
+    def _rewind(self) -> None:
+        self._rng = random.Random(self._key)
+        self._start = 0.0
+        self._cur = (-1, 0.0, 0.0)  # (index, value draw, end) of the current interval
 
     def locate(self, t: float) -> tuple[int, float, float]:
         """Return (index, value draw in [0,1), interval end) for time t."""
-        bounds = self._bounds
-        while bounds[-1] <= t:
-            self._extend()
-        i = self._cursor
-        if not bounds[i] <= t < bounds[i + 1]:
-            # The next interval, else a bisect; t < bounds[-1] keeps i + 2 in range.
-            self._cursor = i = (i + 1 if bounds[i + 1] <= t < bounds[i + 2]
-                                else bisect.bisect_right(bounds, t) - 1)
-        return i, self._values[i], bounds[i + 1]
+        if t < self._start:
+            self._rewind()
+        i, value, end = self._cur
+        if end <= t:
+            rng, means = self._rng, self._means
+            while end <= t:
+                i += 1
+                start = end
+                end = start - means[i % len(means)] * math.log1p(-rng.random())
+                value = rng.random()
+            self._start, self._cur = start, (i, value, end)
+        return self._cur
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import bisect
 import math
 import random
 import statistics
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +162,33 @@ class TestNextChange:
         p = make_profile("constant", seed=1)
         assert p.next_change_ms(0.0) == math.inf
         assert p.next_change_ms(1234.5) == math.inf
+
+    def test_forward_walk_keeps_memory_flat(self):
+        # Walked forward as the plant walks it, alpha then the next change at
+        # each change time, a profile keeps only its current intervals.
+        p = make_profile("graph_irregular", seed=1)
+
+        def walk(t, until_ms):
+            while t < until_ms:
+                p.sample_alpha(t)
+                t = p.next_change_ms(t)
+            return t
+
+        tracemalloc.start()
+        try:
+            t = walk(0.0, 60_000.0)
+            at_60s = tracemalloc.get_traced_memory()[0]
+            walk(t, 120_000.0)
+            at_120s = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert at_60s < 64 * 1024
+        assert at_120s <= at_60s
+        # a query before the current interval replays the streams from 0
+        fresh = make_profile("graph_irregular", seed=1)
+        for t in (0.0, 33_333.3):
+            assert (p.sample_alpha(t), p.next_change_ms(t)) == (
+                fresh.sample_alpha(t), fresh.next_change_ms(t))
 
     def test_dwell_times_average_near_mean(self):
         p = WorkloadProfile(kind="compute_bound", alpha_jitter=0.1,

@@ -131,8 +131,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     p_star = oracles.steady_power(params, alpha=1.0, phi=2.0)
     rise = oracles.first_order_rise(p_star, params.r_th, params.tau_th, params.tau_th)
     print("# thermal fixed point at 2.0 GHz (default plant, alpha=1)")
-    share = (params.sigma * (params.v0 + params.m * 2.0)
-             * (1.0 + params.kappa * p_star * params.r_th)) / p_star
+    share = oracles.static_share(params, alpha=1.0, phi=2.0)
     print(f"  steady power={p_star:.4f} W  static share={share:.4f}")
     print(f"  temperature rise after one time constant={rise:.4f} degC "
           f"(of {p_star * params.r_th:.4f})")

@@ -3,8 +3,7 @@
 The control law accumulates the tracking error with a gain set to the
 inverse of the plant's estimated power-versus-frequency slope, so each cycle
 takes (approximately) a Newton step toward the frequency whose power matches
-the target. The commanded frequency is projected onto the legal set when one
-is configured.
+the target. The commanded frequency is projected onto the legal set or range.
 
 Slope estimates can be transiently non-physical while identification warms
 up, so they are clamped from below by a positive floor; that keeps the gain
@@ -55,7 +54,7 @@ class IntegralController:
 
     def __init__(
         self,
-        omega: FrequencySet | FrequencyRange | None,
+        omega: FrequencySet | FrequencyRange,
         u0: float,
         deriv_floor: float = DEFAULT_DERIV_FLOOR,
         projected_state: bool = True,
@@ -77,7 +76,7 @@ class IntegralController:
         a = gain(deriv_estimate, self.deriv_floor)
         base = self.u_prev if self.projected_state else self._u_raw
         raw = base + a * e
-        u = self.omega.project(raw) if self.omega is not None else raw
+        u = self.omega.project(raw)
         self._u_raw = raw
         self.u_prev = u
         return u

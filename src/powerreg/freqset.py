@@ -102,14 +102,13 @@ class FrequencyRange:
         return min(max(u, self.min_level), self.max_level)
 
 
-def check_frequency(phi: float, omega: FrequencySet | FrequencyRange | None) -> None:
-    """Reject a frequency that is not positive and finite, or not legal in
-    omega when one is given."""
+def check_frequency(phi: float, omega: FrequencySet | FrequencyRange) -> None:
+    """Reject a frequency that is not positive and finite, or not legal in omega."""
     # bool is an int, and True == 1.0 would pass as a 1 GHz level.
     if not (isinstance(phi, (int, float)) and not isinstance(phi, bool)
             and math.isfinite(phi) and phi > 0.0):
         raise ValueError(f"frequency must be positive and finite, got {phi!r}")
-    if omega is not None and phi not in omega:
+    if phi not in omega:
         if isinstance(omega, FrequencyRange):
             raise ValueError(f"frequency {phi!r} is outside "
                              f"[{omega.min_level}, {omega.max_level}] GHz")

@@ -182,7 +182,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.workload is None:
-            self.workload = make_profile(_DEFAULTS["workload.kind"], seed=self.seed)
+            self.workload = _check("workload", make_profile, _DEFAULTS["workload.kind"],
+                                   seed=self.seed)
 
     def frequency_set(self) -> FrequencySet | FrequencyRange:
         """The ladder omega, or in continuous mode the range it spans."""
@@ -210,7 +211,8 @@ def _build_loop(config: ExperimentConfig) -> tuple[Plant, RlsEstimator, Integral
     The loop's own settings are checked here; every other setting is checked
     by the layer that takes it, when that layer is built.
     """
-    if not (isinstance(config.cycle_ms, int) and config.cycle_ms >= 1):
+    # bool is an int, and True would run 1 ms cycles.
+    if not (type(config.cycle_ms) is int and config.cycle_ms >= 1):
         raise ConfigError("cycle_ms: must be an integer number of ms, >= 1")
     if not (math.isfinite(config.duration_ms) and config.duration_ms >= config.cycle_ms):
         raise ConfigError("duration_ms: must be at least one control cycle")
@@ -332,8 +334,7 @@ def read_csv(path: str) -> list[TraceRecord]:
     trace = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
+        if tuple(next(reader, ())) != CSV_COLUMNS:  # () for an empty file
             raise ValueError(f"unexpected CSV header in {path}")
         for row in reader:
             if len(row) != len(CSV_COLUMNS) or row[-1] not in ("0", "1"):

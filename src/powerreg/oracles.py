@@ -96,6 +96,13 @@ def steady_power(params: PlantParams, alpha: float, phi: float) -> float:
     return (p_dyn + params.sigma * v) / (1.0 - loop)
 
 
+def static_share(params: PlantParams, alpha: float, phi: float) -> float:
+    """Leakage's share of total power at the thermal fixed point."""
+    p = steady_power(params, alpha, phi)
+    v = params.v0 + params.m * phi
+    return params.sigma * v * (1.0 + params.kappa * p * params.r_th) / p
+
+
 def true_cubic_coeffs(params: PlantParams, alpha: float) -> tuple[float, float, float, float]:
     """Expansion of total power in frequency for fixed alpha and kappa = 0.
 

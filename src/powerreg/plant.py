@@ -35,8 +35,6 @@ from .workload import WorkloadProfile
 # Energy counter grid period, microseconds.
 _GRID_US = 1000
 
-_RUNAWAY = "thermal runaway: leakage feedback gain >= 1"
-
 
 @dataclass(frozen=True)
 class PlantParams:
@@ -87,13 +85,6 @@ class PlantParams:
             raise ValueError("frequency must be positive")
         return self.v0 + self.m * phi
 
-    def dynamic_power(self, alpha: float, phi: float) -> float:
-        """Switching power alpha*cap*V(phi)^2*phi, watts."""
-        if not alpha > 0.0:
-            raise ValueError("activity factor must be positive")
-        v = self.voltage(phi)
-        return alpha * self.cap * v * v * phi
-
 
 def _freq_coefficients(p: PlantParams, freq: float) -> tuple[float, float, float, float, float]:
     """The step coefficients that depend on freq alone: (v, sigma*v, g*tau, beta, -beta)."""
@@ -103,16 +94,16 @@ def _freq_coefficients(p: PlantParams, freq: float) -> tuple[float, float, float
     g = sv * p.kappa
     beta = 1.0 - p.r_th * g
     if beta <= 0.0:
-        raise ValueError(f"{_RUNAWAY} at {freq} GHz")
+        raise ValueError(f"thermal runaway: leakage feedback gain >= 1 at {freq} GHz")
     return v, sv, g * p.tau_th, beta, -beta
 
 
 class Plant:
     """Simulated processor with an energy counter and a thermal state.
 
-    Owned by a single experiment loop. A frequency set or range may be
-    supplied to enforce legal operating points; omit it to accept any
-    positive frequency.
+    Owned by a single experiment loop. Every frequency it runs at is legal in
+    omega, a frequency set or range, so the runaway check at construction
+    covers the whole run.
     """
 
     def __init__(
@@ -120,7 +111,7 @@ class Plant:
         params: PlantParams,
         profile: WorkloadProfile,
         u0: float,
-        omega: FrequencySet | FrequencyRange | None = None,
+        omega: FrequencySet | FrequencyRange,
         seed: int = 0,
         counter_phase_ms: float | None = None,
     ):
@@ -132,10 +123,9 @@ class Plant:
         # range cannot grow the cache without bound.
         self._coeffs = functools.lru_cache(maxsize=64)(
             functools.partial(_freq_coefficients, params))
-        if omega is not None:
-            # beta falls as phi rises (see _freq_coefficients), so the top level
-            # is the first to run away.
-            self._coeffs(omega.max_level)
+        # beta falls as phi rises (see _freq_coefficients), also in floats, as
+        # each operation rounds monotonically: the top level runs away first.
+        self._coeffs(omega.max_level)
         self.freq = u0
         self.temp = params.t_amb
         self.energy_acc = 0.0
@@ -151,7 +141,7 @@ class Plant:
         self._pending: list[tuple[int, float]] = []
         # Alpha's first change falls due now: firing it samples alpha at 0.
         self._next_alpha_us = 0
-        self._fire_events()
+        self._fire_events(0)
 
     # -- contract surface -------------------------------------------------
 
@@ -162,12 +152,6 @@ class Plant:
     @property
     def counter_phase_ms(self) -> float:
         return self._phase_us / 1000.0
-
-    def static_power(self) -> float:
-        """Leakage power at the current operating point and temperature."""
-        v = self.params.voltage(self.freq)
-        return self.params.sigma * v * (
-            1.0 + self.params.kappa * (self.temp - self.params.t_amb))
 
     def apply_frequency(self, phi: float) -> None:
         """Command a frequency; takes effect after the configured latency."""
@@ -211,11 +195,8 @@ class Plant:
             if clock == snap_us:
                 self.counter_joules = energy
             if clock == event_us:
-                # Written back first: a raise below leaves the state at the event.
-                self._clock_us, self.temp, self.energy_acc = clock, temp, energy
-                self._fire_events()
-                if clock < end_us:  # at end_us the next advance does it, and raises there
-                    q, x_inf, g_tau, beta, nbeta = self._step_coefficients()
+                self._fire_events(clock)
+                q, x_inf, g_tau, beta, nbeta = self._step_coefficients()
         self._clock_us, self.temp, self.energy_acc = clock, temp, energy
 
     # -- internals ---------------------------------------------------------
@@ -227,8 +208,8 @@ class Plant:
         q = self.alpha * p.cap * v * v * freq + sv
         return q, p.r_th * q / beta, g_tau, beta, nbeta
 
-    def _fire_events(self) -> None:
-        now = self._clock_us
+    def _fire_events(self, now: int) -> None:
+        """Apply the alpha change and pending frequencies due at time now, us."""
         if now >= self._next_alpha_us:
             self.alpha = self.profile.sample_alpha(now / 1000.0)
             nxt_ms = self.profile.next_change_ms(now / 1000.0)

@@ -108,6 +108,9 @@ class WorkloadProfile:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown workload kind {self.kind!r}; expected one of {KINDS}")
+        # The streams are keyed by str(seed): True would key other streams than 1.
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         for name in ("alpha_mean", "alpha_jitter", "switch_period_ms",
                      "stall_fraction", "stall_alpha_scale"):
             if not math.isfinite(getattr(self, name)):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from powerreg.controller import IntegralController, gain, tracking_error
-from powerreg.freqset import DEFAULT_OMEGA
+from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
 from powerreg.oracles import newton_path, true_cubic_coeffs
 from powerreg.plant import PlantParams
 
@@ -19,6 +19,10 @@ def g(u):
 
 def dg(u):
     return (3.0 * A * u + 2.0 * B) * u + C
+
+
+# A frequency range the Newton iterates never reach, so no clamp binds.
+WIDE = FrequencyRange(0.1, 10.0)
 
 
 class TestGain:
@@ -89,7 +93,7 @@ class TestStep:
     def test_cube_root_iteration_converges(self):
         # continuous frequencies, plant y = u^3, exact derivative: the loop is
         # the Newton iteration for u^3 = 8 and must land on u = 2
-        ctrl = IntegralController(None, u0=1.0)
+        ctrl = IntegralController(WIDE, u0=1.0)
         cube, dcube = (lambda u: u**3), (lambda u: 3.0 * u * u)
         u = 1.0
         for _ in range(30):
@@ -98,7 +102,7 @@ class TestStep:
         assert abs(8.0 - cube(u)) < 1e-9
 
     def test_cube_root_iterates_match_reference_newton(self):
-        ctrl = IntegralController(None, u0=1.0)
+        ctrl = IntegralController(WIDE, u0=1.0)
         ref = newton_path(lambda u: u**3, lambda u: 3.0 * u * u, 8.0, 1.0,
                           max_steps=12, tol=-math.inf)
         u = 1.0
@@ -109,7 +113,7 @@ class TestStep:
 
 class TestNewtonBehavior:
     def test_matches_reference_to_machine_precision(self):
-        ctrl = IntegralController(None, u0=2.0)
+        ctrl = IntegralController(WIDE, u0=2.0)
         # a negative tol never stops the reference early: all 10 iterates count
         ref = newton_path(g, dg, 10.0, 2.0, max_steps=10, tol=-math.inf)
         u = 2.0
@@ -118,7 +122,7 @@ class TestNewtonBehavior:
             assert u == pytest.approx(expected, rel=1e-14)
 
     def test_geometric_contraction_with_exact_derivative(self):
-        ctrl = IntegralController(None, u0=2.0)
+        ctrl = IntegralController(WIDE, u0=2.0)
         u = 2.0
         err = abs(10.0 - g(u))
         steps = 0
@@ -133,7 +137,7 @@ class TestNewtonBehavior:
     def test_converges_despite_derivative_errors(self):
         # relative derivative error up to 0.5 in magnitude, random sign
         rng = random.Random(42)
-        ctrl = IntegralController(None, u0=2.0)
+        ctrl = IntegralController(WIDE, u0=2.0)
         u = 2.0
         for _ in range(60):
             deriv = dg(u) * (1.0 + rng.uniform(-0.5, 0.5))
@@ -141,13 +145,17 @@ class TestNewtonBehavior:
         assert abs(10.0 - g(u)) < 1e-6
 
     def test_recovers_from_transient_negative_estimates(self):
-        # floor-clamped gain on early garbage estimates must not prevent
-        # convergence once estimates become sane
-        ctrl = IntegralController(None, u0=2.0)
+        # floor-clamped gain on early garbage estimates drives the command to
+        # both range limits; it must not prevent convergence once estimates
+        # become sane
+        ctrl = IntegralController(FrequencyRange(0.8, 3.4), u0=2.0)
         u = 2.0
+        path = []
         for k in range(40):
             deriv = -1.0 if k < 2 else dg(u)
             u = ctrl.step(10.0, g(u), deriv)
+            path.append(u)
+        assert path[:3] == [3.4, 0.8, 3.4]
         assert abs(10.0 - g(u)) < 1e-6
 
     def test_quantized_loop_enters_short_cycle(self):
@@ -187,13 +195,13 @@ class TestRawStateVariant:
 def test_starts_from_u0():
     assert IntegralController(DEFAULT_OMEGA, u0=0.8).u_prev == 0.8
     # continuous mode accepts a start frequency off the ladder
-    assert IntegralController(None, u0=0.9).u_prev == 0.9
+    assert IntegralController(FrequencyRange(0.8, 3.4), u0=0.9).u_prev == 0.9
 
 
 def test_invalid_u0_rejected():
     with pytest.raises(ValueError):
         IntegralController(DEFAULT_OMEGA, u0=0.9)
     with pytest.raises(ValueError):
-        IntegralController(None, u0=-1.0)
+        IntegralController(FrequencyRange(0.8, 3.4), u0=-1.0)
     with pytest.raises(ValueError):
-        IntegralController(None, u0=math.nan)
+        IntegralController(FrequencyRange(0.8, 3.4), u0=math.nan)

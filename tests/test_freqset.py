@@ -143,7 +143,8 @@ def test_illegal_frequency_error_names_the_kind_of_set(omega, message):
     assert str(excinfo.value) == message
 
 
-@pytest.mark.parametrize("omega", [None, DEFAULT_OMEGA, FrequencyRange(0.8, 3.4)])
+@pytest.mark.parametrize("omega", [DEFAULT_OMEGA, FrequencyRange(0.8, 3.4)],
+                         ids=["omega1", "omega2"])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "2.0", True, False])
 def test_check_frequency_rejects_what_is_not_a_positive_number(omega, bad):
     # True == 1.0 is a level of the default ladder and inside the range

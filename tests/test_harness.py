@@ -156,6 +156,8 @@ class TestParseConfig:
         (dict(counter_phase_ms=1.5), "counter_phase"),
         (dict(rls_forgetting=0.0), "forgetting"),
         (dict(rls_x0=(1.0, 2.0, 3.0)), "rls.x0"),
+        (dict(cycle_ms=True), "cycle_ms"),
+        (dict(seed=True), "seed"),
     ])
     def test_validate_reaches_each_owner(self, changes, key):
         # A config built directly, not parsed, is checked by the same rules.
@@ -275,9 +277,10 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv([], str(path))
         assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
-        path.write_text(",".join(reversed(CSV_COLUMNS)) + "\n")
-        with pytest.raises(ValueError, match="unexpected CSV header"):
-            read_csv(str(path))
+        for text in (",".join(reversed(CSV_COLUMNS)) + "\n", ""):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="unexpected CSV header"):
+                read_csv(str(path))
 
     def test_one_line_per_record_plus_header(self, tmp_path):
         trace = synthetic_trace([10.0] * 400)

@@ -1,11 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
-from powerreg.oracles import first_order_rise, steady_power, true_cubic_coeffs
+from powerreg.oracles import first_order_rise, static_share, steady_power, true_cubic_coeffs
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
@@ -32,60 +33,77 @@ class TestVoltage:
     def test_top_of_range(self):
         assert PlantParams(v0=0.6, m=0.2).voltage(3.4) == pytest.approx(1.28)
 
+    def test_rejects_non_positive_frequency(self):
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            PlantParams().voltage(0.0)
+
 
 class TestDynamicPower:
-    def test_point_value(self):
-        p = PlantParams(cap=2.0, v0=1.0, m=0.0)
-        assert p.dynamic_power(0.5, 2.0) == pytest.approx(2.0)
+    # sigma=0 removes leakage, so the counter measures the dynamic power alone
+    @staticmethod
+    def measured_power(params, alpha, phi):
+        plant = Plant(params, constant_profile(alpha=alpha), u0=phi,
+                      omega=FrequencyRange(0.8, 3.4), counter_phase_ms=0.0)
+        plant.advance(10.0)
+        return plant.read_energy() / 10e-3
 
     def test_linear_in_activity(self):
-        p = PlantParams()
-        assert p.dynamic_power(1.0, 2.5) == pytest.approx(2.0 * p.dynamic_power(0.5, 2.5))
+        p = PlantParams(sigma=0.0)
+        assert self.measured_power(p, 1.0, 2.5) == pytest.approx(
+            2.0 * self.measured_power(p, 0.5, 2.5))
 
     def test_cubic_in_frequency(self):
-        # without leakage (sigma=0) total power is the dynamic power alone
         p = PlantParams(cap=1.7, v0=0.7, m=0.25, sigma=0.0)
         alpha = 0.9
         a, b, c, d = true_cubic_coeffs(p, alpha)
         for phi in (0.8, 1.5, 2.2, 2.9, 3.4):
             poly = ((a * phi + b) * phi + c) * phi + d
-            assert p.dynamic_power(alpha, phi) == pytest.approx(poly, rel=1e-12)
-
-    def test_rejects_non_positive_activity(self):
-        with pytest.raises(ValueError):
-            PlantParams().dynamic_power(0.0, 2.0)
-        with pytest.raises(ValueError, match="frequency must be positive"):
-            PlantParams().voltage(0.0)
+            assert self.measured_power(p, alpha, phi) == pytest.approx(poly, rel=1e-12)
 
 
 class TestStaticPower:
     def test_no_thermal_uplift_at_ambient(self):
-        params = PlantParams(v0=1.0, m=0.0, sigma=1.5)
-        plant = Plant(params, constant_profile(), u0=2.0, counter_phase_ms=0.0)
-        assert plant.static_power() == pytest.approx(1.5)
+        # r_th = 0 holds the plant at ambient: leakage is sigma*V on top of
+        # the alpha*C*V^2*phi = 1*2*1*2 = 4 W dynamic power
+        params = PlantParams(v0=1.0, m=0.0, sigma=1.5, r_th=0.0)
+        plant = Plant(params, constant_profile(), u0=2.0, omega=DEFAULT_OMEGA,
+                      counter_phase_ms=0.0)
+        plant.advance(10.0)
+        assert plant.read_energy() == pytest.approx((4.0 + 1.5) * 10e-3)
 
     def test_kappa_zero_removes_temperature_dependence(self):
         params = PlantParams(kappa=0.0)
-        plant = Plant(params, constant_profile(), u0=2.0, counter_phase_ms=0.0)
-        before = plant.static_power()
-        plant.advance(500.0)  # heats up
+        plant = Plant(params, constant_profile(), u0=2.0, omega=DEFAULT_OMEGA,
+                      counter_phase_ms=0.0)
+        plant.advance(10.0)
+        before = plant.read_energy()
+        plant.advance(490.0)  # heats up
         assert plant.temp > params.t_amb
-        assert plant.static_power() == before
+        start = plant.read_energy()
+        plant.advance(10.0)
+        assert plant.read_energy() - start == pytest.approx(before, rel=1e-12)
 
     def test_default_static_share_in_band(self):
+        # Total power from the counter over whole grid periods at the thermal
+        # fixed point; dynamic power is the fixed point without leakage.
         params = PlantParams()
-        plant = Plant(params, constant_profile(), u0=2.0, counter_phase_ms=0.0)
+        plant = Plant(params, constant_profile(), u0=2.0, omega=DEFAULT_OMEGA,
+                      counter_phase_ms=0.0)
         plant.advance(3000.0)  # 15 thermal time constants
-        p_total = params.dynamic_power(plant.alpha, plant.freq) + plant.static_power()
-        share = plant.static_power() / p_total
+        start = plant.read_energy()
+        plant.advance(1000.0)
+        p_total = plant.read_energy() - start  # joules over 1 s
+        share = 1.0 - steady_power(replace(params, sigma=0.0), 1.0, 2.0) / p_total
         assert 0.20 <= share <= 0.30
+        assert share == pytest.approx(static_share(params, 1.0, 2.0), rel=1e-6)
         assert p_total == pytest.approx(steady_power(params, 1.0, 2.0), rel=1e-6)
 
 
 class TestApplyFrequency:
     def test_effective_from_next_advance(self):
         params = ten_watt_params()
-        plant = Plant(params, constant_profile(), u0=1.0, counter_phase_ms=0.0)
+        plant = Plant(params, constant_profile(), u0=1.0, omega=DEFAULT_OMEGA,
+                      counter_phase_ms=0.0)
         plant.apply_frequency(2.0)
         plant.advance(10.0)
         # 10 W at 2.0 GHz for 10 ms
@@ -94,7 +112,8 @@ class TestApplyFrequency:
     def test_latency_delays_the_change(self):
         params = PlantParams(cap=2.0, v0=1.0, m=0.0, sigma=6.0, kappa=0.0,
                              latency_ms=2.0)
-        plant = Plant(params, constant_profile(), u0=1.0, counter_phase_ms=0.0)
+        plant = Plant(params, constant_profile(), u0=1.0, omega=DEFAULT_OMEGA,
+                      counter_phase_ms=0.0)
         plant.apply_frequency(2.0)
         plant.advance(10.0)
         # 2 ms at 1.0 GHz (2+6 W), then 8 ms at 2.0 GHz (10 W)
@@ -108,7 +127,8 @@ class TestApplyFrequency:
             plant.apply_frequency(0.9)
 
     def test_continuous_mode_accepts_any_positive(self):
-        plant = Plant(PlantParams(), constant_profile(), u0=2.0, counter_phase_ms=0.0)
+        plant = Plant(PlantParams(), constant_profile(), u0=2.0,
+                      omega=FrequencyRange(0.8, 3.4), counter_phase_ms=0.0)
         plant.apply_frequency(0.9)
         assert plant.freq == 0.9
         with pytest.raises(ValueError):
@@ -118,13 +138,14 @@ class TestApplyFrequency:
 class TestAdvance:
     def test_energy_is_power_times_time(self):
         plant = Plant(ten_watt_params(), constant_profile(), u0=2.0,
-                      counter_phase_ms=0.0)
+                      omega=DEFAULT_OMEGA, counter_phase_ms=0.0)
         plant.advance(100.0)
         assert plant.energy_acc == pytest.approx(1.0, rel=1e-9)
 
     def test_no_thermal_resistance_keeps_ambient(self):
         params = PlantParams(r_th=0.0)
-        plant = Plant(params, constant_profile(), u0=2.0, counter_phase_ms=0.0)
+        plant = Plant(params, constant_profile(), u0=2.0, omega=DEFAULT_OMEGA,
+                      counter_phase_ms=0.0)
         plant.advance(1000.0)
         assert plant.temp == pytest.approx(params.t_amb, abs=1e-12)
 
@@ -134,7 +155,8 @@ class TestAdvance:
     def test_kappa_zero_rise_is_exact(self, t_ms, tau_th):
         # constant 10 W: the closed-form step is exact, not just first-order
         params = ten_watt_params(tau_th=tau_th)
-        plant = Plant(params, constant_profile(), u0=2.0, counter_phase_ms=0.0)
+        plant = Plant(params, constant_profile(), u0=2.0, omega=DEFAULT_OMEGA,
+                      counter_phase_ms=0.0)
         plant.advance(t_ms)
         expected = first_order_rise(10.0, params.r_th, params.tau_th, t_ms)
         assert plant.temp - params.t_amb == pytest.approx(expected, rel=1e-12)
@@ -166,34 +188,12 @@ class TestAdvance:
         assert split.read_energy() == pytest.approx(one.read_energy(), rel=1e-12)
 
     def test_thermal_runaway_raises(self):
-        # sigma*V*kappa*r_th = 1.5*1.28*0.3*2 = 1.15 at 3.4 GHz: beta < 0
-        plant = Plant(PlantParams(kappa=0.3), constant_profile(), u0=3.4,
-                      counter_phase_ms=0.0)
-        with pytest.raises(ValueError, match="thermal runaway"):
-            plant.advance(1.0)
-
-    def test_thermal_runaway_raises_after_a_frequency_change(self):
-        # beta = 1 - 1.5*1.0*0.3*2 = 0.1 at 2.0 GHz, but < 0 at 3.4 GHz. With
-        # a latency the change falls due mid-advance, at 6.3 ms: the raise
-        # leaves the state there, as a plant advanced to that instant has it.
-        for latency_ms in (0.0, 1.3):
-            def at_5ms():
-                plant = Plant(PlantParams(kappa=0.3, latency_ms=latency_ms),
-                              constant_profile(), u0=2.0, counter_phase_ms=0.0)
-                plant.advance(5.0)
-                plant.apply_frequency(3.4)
-                return plant
-
-            plant = at_5ms()
-            for _ in range(2):
-                with pytest.raises(ValueError, match=r"thermal runaway.* at 3\.4 GHz$"):
-                    plant.advance(2.0)
-            twin = at_5ms()
-            if latency_ms:
-                twin.advance(latency_ms)
-            assert plant.clock_ms == twin.clock_ms == 5.0 + latency_ms
-            assert plant.temp == pytest.approx(twin.temp, rel=1e-12)
-            assert plant.energy_acc == pytest.approx(twin.energy_acc, rel=1e-12)
+        # sigma*V*kappa*r_th = 1.5*1.28*0.3*2 = 1.15 at 3.4 GHz: beta < 0. The
+        # top level is checked at construction, whatever the start frequency.
+        for u0 in (2.0, 3.4):
+            with pytest.raises(ValueError, match=r"thermal runaway.* at 3\.4 GHz$"):
+                Plant(PlantParams(kappa=0.3), constant_profile(), u0=u0,
+                      omega=DEFAULT_OMEGA, counter_phase_ms=0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(sigma=st.floats(0.5, 3.0), r_th=st.floats(0.5, 5.0), ulps=st.integers(-4, 4),
@@ -211,7 +211,8 @@ class TestAdvance:
             plant.advance(1.0)
 
     def test_rejects_bad_dt(self):
-        plant = Plant(PlantParams(), constant_profile(), u0=2.0, counter_phase_ms=0.0)
+        plant = Plant(PlantParams(), constant_profile(), u0=2.0, omega=DEFAULT_OMEGA,
+                      counter_phase_ms=0.0)
         for dt in (0.0, -1.0, float("nan"), float("inf"), 0.0004):
             with pytest.raises(ValueError):
                 plant.advance(dt)
@@ -230,7 +231,7 @@ class TestAdvance:
 class TestEnergyCounter:
     def test_counter_is_stale_between_grid_crossings(self):
         plant = Plant(ten_watt_params(), constant_profile(), u0=2.0,
-                      counter_phase_ms=0.5)
+                      omega=DEFAULT_OMEGA, counter_phase_ms=0.5)
         plant.advance(0.6)  # crosses 0.5 ms
         first = plant.read_energy()
         plant.advance(0.3)  # now at 0.9 ms: no crossing since
@@ -240,7 +241,7 @@ class TestEnergyCounter:
 
     def test_grid_aligned_delta_over_30ms(self):
         plant = Plant(ten_watt_params(), constant_profile(), u0=2.0,
-                      counter_phase_ms=0.0)
+                      omega=DEFAULT_OMEGA, counter_phase_ms=0.0)
         start = plant.read_energy()
         plant.advance(30.0)
         assert plant.read_energy() - start == pytest.approx(0.300, rel=1e-9)
@@ -349,9 +350,9 @@ class TestDeterminism:
         assert run() == run()
 
     def test_phase_drawn_from_seed(self):
-        a = Plant(PlantParams(), constant_profile(), u0=2.0, seed=3)
-        b = Plant(PlantParams(), constant_profile(), u0=2.0, seed=3)
-        c = Plant(PlantParams(), constant_profile(), u0=2.0, seed=4)
+        a = Plant(PlantParams(), constant_profile(), u0=2.0, omega=DEFAULT_OMEGA, seed=3)
+        b = Plant(PlantParams(), constant_profile(), u0=2.0, omega=DEFAULT_OMEGA, seed=3)
+        c = Plant(PlantParams(), constant_profile(), u0=2.0, omega=DEFAULT_OMEGA, seed=4)
         assert a.counter_phase_ms == b.counter_phase_ms
         assert 0.0 <= a.counter_phase_ms < 1.0
         assert 0.0 <= c.counter_phase_ms < 1.0
@@ -362,20 +363,20 @@ class TestCubicGroundTruth:
         # fixed activity and kappa=0 make total power an exact cubic; the
         # estimator fed plant samples must find its coefficients
         params = PlantParams(kappa=0.0)
-        alpha = 0.85
-        profile = constant_profile(alpha=alpha)
-        est = RlsEstimator(forgetting=1.0, p0=1e9)
-        for phi in DEFAULT_OMEGA:
-            plant = Plant(params, profile, u0=phi, omega=DEFAULT_OMEGA,
-                          counter_phase_ms=0.0)
-            plant.advance(10.0)
-            est.update(phi, plant.read_energy() / 10e-3)
-        a, b, c, d = true_cubic_coeffs(params, alpha)
-        got = est.model
-        assert got.a == pytest.approx(a, abs=1e-6)
-        assert got.b == pytest.approx(b, abs=1e-6)
-        assert got.c == pytest.approx(c, abs=1e-6)
-        assert got.d == pytest.approx(d, abs=1e-6)
+        for alpha in (0.85, 0.425):
+            profile = constant_profile(alpha=alpha)
+            est = RlsEstimator(forgetting=1.0, p0=1e9)
+            for phi in DEFAULT_OMEGA:
+                plant = Plant(params, profile, u0=phi, omega=DEFAULT_OMEGA,
+                              counter_phase_ms=0.0)
+                plant.advance(10.0)
+                est.update(phi, plant.read_energy() / 10e-3)
+            a, b, c, d = true_cubic_coeffs(params, alpha)
+            got = est.model
+            assert got.a == pytest.approx(a, abs=1e-6)
+            assert got.b == pytest.approx(b, abs=1e-6)
+            assert got.c == pytest.approx(c, abs=1e-6)
+            assert got.d == pytest.approx(d, abs=1e-6)
 
 
 class TestParams:
@@ -391,7 +392,8 @@ class TestParams:
 
     def test_bad_counter_phase_rejected(self):
         with pytest.raises(ValueError):
-            Plant(PlantParams(), constant_profile(), u0=2.0, counter_phase_ms=1.0)
+            Plant(PlantParams(), constant_profile(), u0=2.0, omega=DEFAULT_OMEGA,
+                  counter_phase_ms=1.0)
 
     def test_bad_u0_rejected(self):
         with pytest.raises(ValueError):

@@ -74,10 +74,11 @@ class TestMakeProfile:
         dict(alpha_jitter=-0.1), dict(switch_period_ms=0.0),
         dict(stall_fraction=1.0), dict(stall_alpha_scale=0.0),
         dict(stall_alpha_scale=1.5), dict(alpha_mean=float("nan")),
+        dict(seed=True), dict(seed=1.0),
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            make_profile("memory_bound", seed=1, **kwargs)
+            make_profile("memory_bound", **{"seed": 1, **kwargs})
 
 
 class TestSampleAlpha:

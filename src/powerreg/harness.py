@@ -337,11 +337,14 @@ def read_csv(path: str) -> list[TraceRecord]:
         if tuple(next(reader, ())) != CSV_COLUMNS:  # () for an empty file
             raise ValueError(f"unexpected CSV header in {path}")
         for row in reader:
-            if len(row) != len(CSV_COLUMNS) or row[-1] not in ("0", "1"):
+            try:
+                if len(row) != len(CSV_COLUMNS) or row[-1] not in ("0", "1"):
+                    raise ValueError
+                trace.append(TraceRecord(*map(float, row[:-1]), settled=row[-1] == "1"))
+            except ValueError:  # raised above, or by float() on a non-numeric cell
                 raise ValueError(
                     f"{path}, line {reader.line_num}: expected {len(CSV_COLUMNS)} "
-                    f"columns ending in settled 0 or 1, got {row!r}")
-            trace.append(TraceRecord(*map(float, row[:-1]), settled=row[-1] == "1"))
+                    f"columns, numbers then settled 0 or 1, got {row!r}") from None
     return trace
 
 

@@ -148,9 +148,9 @@ def reference_energy(
     """Fixed-step quadrature of instantaneous power along a frequency schedule.
 
     schedule holds (start_ms, frequency) pairs, sorted, first at 0. The
-    temperature path is integrated with the same small step. Actuation
-    latency and counter quantization are intentionally ignored: this is the
-    ground-truth integral the plant's accumulator is checked against.
+    temperature path is integrated with the same small step. Counter
+    quantization is intentionally ignored: this is the ground-truth integral
+    the plant's accumulator is checked against.
     """
     if not schedule or schedule[0][0] != 0.0:
         raise ValueError("schedule must start at t=0")

@@ -11,15 +11,15 @@ Energy is exposed the way commodity hardware exposes it: a counter that
 updates only on a 1 ms grid whose phase is unknown to the consumer. Callers
 derive average power as delta(counter) / delta(time).
 
-Time is tracked in integer microseconds. Between events (activity switches
-and pending frequency changes) alpha and phi are constant, so the thermal
-ODE is linear and temperature and energy are advanced in one exact
-closed-form step per event. `advance` walks its interval in one loop that
-stops only at events and at the last grid instant it crosses, the only one a
-read can see and so the one at which the counter is snapshotted. The step's
-coefficients are cached per frequency; the two that also depend on alpha are
-recomputed at each event. The class implements the same apply/advance/read
-seam a hardware driver would.
+Time is tracked in integer microseconds. A frequency command takes effect
+from the next advance, so activity changes are the only events. Between
+events alpha and phi are constant, so the thermal ODE is linear and
+temperature and energy are advanced in one exact closed-form step per event.
+`advance` walks its interval in one loop that stops only at events and at the
+last grid instant it crosses, the only one a read can see and so the one at
+which the counter is snapshotted. The step's coefficients are cached per
+frequency; the two that also depend on alpha are recomputed at each event.
+The class implements the same apply/advance/read seam a hardware driver would.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class PlantParams:
     t_amb: ambient temperature (degC).
     r_th: thermal resistance (degC per watt).
     tau_th: thermal time constant (ms).
-    latency_ms: actuation delay between a frequency command and its effect.
     """
 
     cap: float = 2.0
@@ -59,7 +58,6 @@ class PlantParams:
     t_amb: float = 40.0
     r_th: float = 2.0
     tau_th: float = 200.0
-    latency_ms: float = 0.0
 
     def __post_init__(self) -> None:
         checks = [
@@ -70,7 +68,6 @@ class PlantParams:
             (self.kappa >= 0.0, "kappa must be >= 0"),
             (self.tau_th > 0.0, "tau_th must be > 0"),
             (self.r_th >= 0.0, "r_th must be >= 0"),
-            (0.0 <= self.latency_ms <= 5.0, "latency_ms must be in [0, 5]"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -138,10 +135,7 @@ class Plant:
             # A phase that rounds up to a whole grid period is phase 0.
             self._phase_us = int(round(counter_phase_ms * 1000.0)) % _GRID_US
         self._clock_us = 0
-        self._pending: list[tuple[int, float]] = []
-        # Alpha's first change falls due now: firing it samples alpha at 0.
-        self._next_alpha_us = 0
-        self._fire_events(0)
+        self._sample_alpha(0)
 
     # -- contract surface -------------------------------------------------
 
@@ -154,14 +148,9 @@ class Plant:
         return self._phase_us / 1000.0
 
     def apply_frequency(self, phi: float) -> None:
-        """Command a frequency; takes effect after the configured latency."""
+        """Command a frequency; it takes effect from the next `advance`."""
         check_frequency(phi, self.omega)
-        if self.params.latency_ms <= 0.0:
-            self.freq = phi
-        else:
-            due = self._clock_us + int(round(self.params.latency_ms * 1000.0))
-            self._pending.append((due, phi))
-            self._next_event_us = min(self._next_event_us, due)
+        self.freq = phi
 
     def read_energy(self) -> float:
         """Energy counter value: last grid-aligned snapshot, joules."""
@@ -183,7 +172,7 @@ class Plant:
         q, x_inf, g_tau, beta, nbeta = self._step_coefficients()
         while clock < end_us:
             stop_us = snap_us if clock < snap_us else end_us
-            event_us = self._next_event_us
+            event_us = self._next_alpha_us
             seg_us = event_us if event_us < stop_us else stop_us
             t_ms = (seg_us - clock) * 1e-3
             dx = (x_inf - (temp - t_amb)) * -math.expm1(nbeta * t_ms / tau)
@@ -195,7 +184,7 @@ class Plant:
             if clock == snap_us:
                 self.counter_joules = energy
             if clock == event_us:
-                self._fire_events(clock)
+                self._sample_alpha(clock)
                 q, x_inf, g_tau, beta, nbeta = self._step_coefficients()
         self._clock_us, self.temp, self.energy_acc = clock, temp, energy
 
@@ -208,14 +197,9 @@ class Plant:
         q = self.alpha * p.cap * v * v * freq + sv
         return q, p.r_th * q / beta, g_tau, beta, nbeta
 
-    def _fire_events(self, now: int) -> None:
-        """Apply the alpha change and pending frequencies due at time now, us."""
-        if now >= self._next_alpha_us:
-            self.alpha = self.profile.sample_alpha(now / 1000.0)
-            nxt_ms = self.profile.next_change_ms(now / 1000.0)
-            self._next_alpha_us = (math.inf if math.isinf(nxt_ms)
-                                   else max(math.ceil(nxt_ms * 1000.0), now + 1))
-        pending = self._pending
-        while pending and pending[0][0] <= now:
-            self.freq = pending.pop(0)[1]
-        self._next_event_us = min(self._next_alpha_us, pending[0][0] if pending else math.inf)
+    def _sample_alpha(self, now: int) -> None:
+        """Sample alpha at time now, us, and schedule its next change."""
+        self.alpha = self.profile.sample_alpha(now / 1000.0)
+        nxt_ms = self.profile.next_change_ms(now / 1000.0)
+        self._next_alpha_us = (math.inf if math.isinf(nxt_ms)
+                               else max(math.ceil(nxt_ms * 1000.0), now + 1))

@@ -21,7 +21,7 @@ def run_cli(*argv):
 STDOUT_DIGESTS = {
     "run": "321f7430c5018866353b857b9e8fcd0784ff2b45de5d48015e2a7d5f841faf5c",
     "sweep": "9e8bcce0795ea826d138ab78c179af688b393fc717b18638029770af8245ff13",
-    "defaults": "6e6352c387d3cf8ec76049f34907892b73af8d3d3552264e202aa15e33510eb9",
+    "defaults": "81f90bc62a56df5510c496fda8864292fe779af8a707be93ed5f1836967bb7bb",
 }
 
 
@@ -73,8 +73,11 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, capsys):
-        assert run_cli("run", "--set", "nope=1") == 2
-        assert "nope" in capsys.readouterr().err
+        # plant.latency_ms: a key that `defaults` printed before the plant
+        # lost actuation latency, so an old saved config fails loudly.
+        for key, value in (("nope", "1"), ("plant.latency_ms", "2")):
+            assert run_cli("run", "--set", f"{key}={value}") == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_bad_set_syntax_exits_2(self, capsys):
         assert run_cli("run", "--set", "cycle_ms") == 2

@@ -309,6 +309,7 @@ class TestCsv:
         "0,2,10,10,0,0.25,0,0,0,0,4",          # short row
         "0,2,10,10,0,0.25,0,0,0,0,4,1,extra",  # extra column
         "0,2,10,10,0,0.25,0,0,0,0,4,yes",      # settled not 0/1
+        "0,2,x,10,0,0.25,0,0,0,0,4,1",         # cell not a number
     ])
     def test_malformed_row_names_path_and_line(self, tmp_path, row):
         path = tmp_path / "t.csv"

@@ -109,17 +109,6 @@ class TestApplyFrequency:
         # 10 W at 2.0 GHz for 10 ms
         assert plant.energy_acc == pytest.approx(0.100, rel=1e-9)
 
-    def test_latency_delays_the_change(self):
-        params = PlantParams(cap=2.0, v0=1.0, m=0.0, sigma=6.0, kappa=0.0,
-                             latency_ms=2.0)
-        plant = Plant(params, constant_profile(), u0=1.0, omega=DEFAULT_OMEGA,
-                      counter_phase_ms=0.0)
-        plant.apply_frequency(2.0)
-        plant.advance(10.0)
-        # 2 ms at 1.0 GHz (2+6 W), then 8 ms at 2.0 GHz (10 W)
-        assert plant.energy_acc == pytest.approx(8.0 * 2e-3 + 10.0 * 8e-3, rel=1e-9)
-        assert plant.freq == 2.0
-
     def test_off_ladder_frequency_rejected(self):
         plant = Plant(PlantParams(), constant_profile(), u0=2.0,
                       omega=DEFAULT_OMEGA, counter_phase_ms=0.0)
@@ -162,18 +151,18 @@ class TestAdvance:
         assert plant.temp - params.t_amb == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(1, 10_000), latency_ms=st.sampled_from([0.0, 1.3]),
+    @given(seed=st.integers(1, 10_000),
            warmup_us=st.integers(1, 20_000), total_us=st.integers(1, 20_000),
            cuts=st.lists(st.integers(1, 19_999), max_size=12),
            level=st.sampled_from(DEFAULT_OMEGA.levels))
-    def test_split_advance_matches_one_advance(self, seed, latency_ms, warmup_us,
+    def test_split_advance_matches_one_advance(self, seed, warmup_us,
                                                total_us, cuts, level):
         # how an interval is cut into advance calls must not change the state
         bounds = sorted({c for c in cuts if c < total_us} | {0, total_us})
         pieces = [b - a for a, b in zip(bounds, bounds[1:])]
         plants = []
         for steps in ([total_us], pieces):
-            plant = Plant(PlantParams(latency_ms=latency_ms),
+            plant = Plant(PlantParams(),
                           make_profile("graph_irregular", seed=seed), u0=2.0,
                           omega=DEFAULT_OMEGA, seed=seed)
             plant.advance(warmup_us / 1000.0)
@@ -282,19 +271,19 @@ class TestEnergyCounter:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(1, 10_000), phase_us=st.integers(0, 999),
-           latency_ms=st.sampled_from([0.0, 1.0]), warmup_ms=st.integers(0, 4),
+           warmup_ms=st.integers(0, 4),
            warmup_offset_us=st.sampled_from([0, 1, 999, 337]),
            steps_us=st.lists(st.sampled_from([1, 999, 1000, 1001, 2500, 10_000])
                              | st.integers(1, 12_000), min_size=1, max_size=10),
            level=st.sampled_from(DEFAULT_OMEGA.levels))
     def test_counter_holds_the_energy_at_the_last_grid_instant(
-            self, seed, phase_us, latency_ms, warmup_ms, warmup_offset_us, steps_us, level):
-        # A warm-up ending on a grid instant (offset 0) makes a change with
-        # 1 ms latency fall due exactly on the next one.
+            self, seed, phase_us, warmup_ms, warmup_offset_us, steps_us, level):
+        # A warm-up ending on a grid instant (offset 0) makes the frequency
+        # change at the very instant the counter is snapshotted.
         warmup_us = warmup_ms * 1000 + (phase_us + warmup_offset_us) % 1000
 
         def new_plant():
-            return Plant(PlantParams(latency_ms=latency_ms),
+            return Plant(PlantParams(),
                          make_profile("graph_irregular", seed=seed), u0=2.0,
                          omega=DEFAULT_OMEGA, counter_phase_ms=phase_us / 1000.0)
 
@@ -383,8 +372,8 @@ class TestParams:
     @pytest.mark.parametrize("kwargs", [
         dict(cap=0.0), dict(cap=-1.0), dict(v0=0.0), dict(m=-0.1),
         dict(sigma=-0.5), dict(tau_th=0.0), dict(r_th=-1.0),
-        dict(latency_ms=-1.0), dict(latency_ms=6.0), dict(t_amb=float("nan")),
-        dict(kappa=-0.01),
+        dict(cap=float("inf")), dict(tau_th=float("inf")),
+        dict(t_amb=float("nan")), dict(kappa=-0.01),
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):

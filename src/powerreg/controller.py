@@ -32,7 +32,9 @@ def gain(deriv_estimate: float, deriv_floor: float = DEFAULT_DERIV_FLOOR) -> flo
     """
     if not math.isfinite(deriv_estimate):
         raise ValueError("derivative estimate must be finite")
-    _check_floor(deriv_floor)
+    # _check_floor's test, inline: gain runs on every control cycle.
+    if not (math.isfinite(deriv_floor) and deriv_floor > 0.0):
+        raise ValueError("deriv_floor must be positive and finite")
     return 1.0 / max(deriv_estimate, deriv_floor)
 
 

@@ -19,7 +19,6 @@ import math
 import re
 import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
-from operator import attrgetter
 
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
 from .freqset import DEFAULT_LEVELS, FrequencyRange, FrequencySet, check_frequency
@@ -314,19 +313,36 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-# One trace row, from the TraceRecord fields CSV_COLUMNS names: "%.6g" gives
-# the same text as _fmt for every float (signed zeros, infinities and nan
-# included), and no field needs CSV quoting.
-_ROW = ",".join(["%.6g"] * (len(CSV_COLUMNS) - 1) + ["%d"]) + "\n"
-_row_fields = attrgetter(*CSV_COLUMNS)
+# One trace row, in CSV_COLUMNS order: "%.6g" gives the same text as _fmt for
+# every float (signed zeros, infinities and nan included), and no field needs
+# CSV quoting. freq_ghz and target_w arrive as text, from a _Text6g memo.
+_ROW = "%.6g,%s,%.6g,%s," + ",".join(["%.6g"] * 7) + ",%d\n"
+
+
+class _Text6g(dict):
+    """The "%.6g" text of each value looked up, formatted once per nonzero value."""
+
+    def __missing__(self, value: float) -> str:
+        text = "%.6g" % value
+        if value:
+            self[value] = text
+        return text
 
 
 def write_csv(trace: list[TraceRecord], path: str) -> None:
     """Write a trace to CSV: header plus one row per cycle, 6 significant digits."""
+    # On a ladder freq_ghz takes one of a few levels, and target_w takes one
+    # value per run, so their text comes from a memo; the other columns change
+    # by the cycle and are formatted on each row. The memo never stores a zero:
+    # 0.0 and -0.0 are one dict key, but print as "0" and "-0".
+    text = _Text6g()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         # Streamed row by row: joining the whole trace first costs its size in memory.
-        fh.writelines(_ROW % _row_fields(rec) for rec in trace)
+        fh.writelines(_ROW % (r.t_ms, text[r.freq_ghz], r.power_w, text[r.target_w],
+                              r.error_w, r.gain, r.coeff_a, r.coeff_b, r.coeff_c,
+                              r.coeff_d, r.deriv_est, r.settled)
+                      for r in trace)
 
 
 def read_csv(path: str) -> list[TraceRecord]:

@@ -17,8 +17,10 @@ events alpha and phi are constant, so the thermal ODE is linear and
 temperature and energy are advanced in one exact closed-form step per event.
 `advance` walks its interval in one loop that stops only at events and at the
 last grid instant it crosses, the only one a read can see and so the one at
-which the counter is snapshotted. The step's coefficients are cached per
-frequency; the two that also depend on alpha are recomputed at each event.
+which the counter is snapshotted. The step's coefficients are plant state,
+recomputed only when they can change: when `apply_frequency` changes the
+frequency, and at each activity event. `advance` just reads them. The part
+that depends on frequency alone is cached per frequency.
 The class implements the same apply/advance/read seam a hardware driver would.
 """
 
@@ -149,8 +151,13 @@ class Plant:
 
     def apply_frequency(self, phi: float) -> None:
         """Command a frequency; it takes effect from the next `advance`."""
+        # The running level was checked when it was applied. The type test
+        # sends True (== 1.0) and NaN (== nothing) on to the check.
+        if type(phi) is float and phi == self.freq:
+            return
         check_frequency(phi, self.omega)
         self.freq = phi
+        self._step = self._step_coefficients()
 
     def read_energy(self) -> float:
         """Energy counter value: last grid-aligned snapshot, joules."""
@@ -169,7 +176,7 @@ class Plant:
         # overwritten before anyone can read them.
         snap_us = end_us - (end_us - self._phase_us) % _GRID_US
         t_amb, tau = self.params.t_amb, self.params.tau_th
-        q, x_inf, g_tau, beta, nbeta = self._step_coefficients()
+        q, x_inf, g_tau, beta, nbeta = self._step
         while clock < end_us:
             stop_us = snap_us if clock < snap_us else end_us
             event_us = self._next_alpha_us
@@ -185,7 +192,7 @@ class Plant:
                 self.counter_joules = energy
             if clock == event_us:
                 self._sample_alpha(clock)
-                q, x_inf, g_tau, beta, nbeta = self._step_coefficients()
+                q, x_inf, g_tau, beta, nbeta = self._step
         self._clock_us, self.temp, self.energy_acc = clock, temp, energy
 
     # -- internals ---------------------------------------------------------
@@ -198,8 +205,10 @@ class Plant:
         return q, p.r_th * q / beta, g_tau, beta, nbeta
 
     def _sample_alpha(self, now: int) -> None:
-        """Sample alpha at time now, us, and schedule its next change."""
+        """Sample alpha at time now, us, update the step coefficients and
+        schedule alpha's next change."""
         self.alpha = self.profile.sample_alpha(now / 1000.0)
+        self._step = self._step_coefficients()
         nxt_ms = self.profile.next_change_ms(now / 1000.0)
         self._next_alpha_us = (math.inf if math.isinf(nxt_ms)
                                else max(math.ceil(nxt_ms * 1000.0), now + 1))

@@ -111,10 +111,10 @@ def test_closed_loop_cubic_recovery():
     report(f"closed-loop cubic recovery after 50 cycles (dev {dev:.2e})", ok)
 
 
-def test_quantized_steady_band():
+def quantized_steady_band(phase):
     target = 6.8
     cfg = parse_config(
-        f"plant.kappa=0\nplant.counter_phase=0\ntarget_w={target}\n"
+        f"plant.kappa=0\nplant.counter_phase={phase}\ntarget_w={target}\n"
         "duration_ms=4000")
     trace = run_experiment(cfg)
 
@@ -130,8 +130,21 @@ def test_quantized_steady_band():
     err = steady_error(trace, target, 2000.0)
     ok = periodic and adjacent and err <= gap / 2.0
     report(
-        f"quantized steady band (levels {distinct}, err {err:.3f} <= {gap / 2.0:.3f})",
+        f"quantized steady band at counter phase {phase} "
+        f"(levels {distinct}, err {err:.3f} <= {gap / 2.0:.3f})",
         ok)
+
+
+def test_quantized_steady_band():
+    quantized_steady_band(0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP open item 3: the projected law's dead zone holds 2.2 GHz at this "
+    "counter phase, 0.481 W off the 6.8 W target against the 0.450 W bound"))
+@pytest.mark.parametrize("phase", [0.25, 0.5])
+def test_quantized_steady_band_at_other_counter_phases(phase):
+    quantized_steady_band(phase)
 
 
 def test_metric_reproduction_on_shaped_trace():

@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
 from powerreg.oracles import first_order_rise, static_share, steady_power, true_cubic_coeffs
@@ -122,6 +122,40 @@ class TestApplyFrequency:
         assert plant.freq == 0.9
         with pytest.raises(ValueError):
             plant.apply_frequency(-1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(1, 10_000),
+           schedule=st.lists(st.tuples(st.integers(1, 15_000),
+                                       st.sampled_from(DEFAULT_OMEGA.levels)),
+                             min_size=1, max_size=12))
+    def test_reapplying_the_running_level_changes_nothing(self, seed, schedule):
+        # An unchanged command skips the check and the coefficient update.
+        # Advancing over graph_irregular's activity events between level
+        # changes covers the updates made at both.
+        assume(any(level != 2.0 for _, level in schedule))
+        plants = []
+        for reapply in (False, True):
+            plant = Plant(PlantParams(), make_profile("graph_irregular", seed=seed),
+                          u0=2.0, omega=DEFAULT_OMEGA, seed=seed)
+            for step_us, level in schedule:
+                if reapply:
+                    plant.apply_frequency(plant.freq)
+                plant.advance(step_us / 1000.0)
+                plant.apply_frequency(level)
+            plants.append(plant)
+        plain, reapplied = plants
+        assert reapplied.energy_acc == plain.energy_acc
+        assert reapplied.temp == plain.temp
+        assert reapplied.read_energy() == plain.read_energy()
+
+    def test_running_level_is_rechecked_for_bool_and_nan(self):
+        # True == 1.0, but a bool is not a frequency; NaN equals nothing.
+        plant = Plant(PlantParams(), constant_profile(), u0=1.0,
+                      omega=DEFAULT_OMEGA, counter_phase_ms=0.0)
+        for bad in (True, math.nan):
+            with pytest.raises(ValueError, match="frequency must be positive and finite"):
+                plant.apply_frequency(bad)
+        assert plant.freq == 1.0
 
 
 class TestAdvance:

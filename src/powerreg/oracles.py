@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths: brute-force
 searches, closed forms, batch solves, and dumb fixed-step quadrature. These
 are the cross-checks for the controller, estimator, and plant: the test suite
-takes its references from here, and the `oracle` CLI subcommand prints them.
+takes its references from here, and the benchmark checks the plant's energy
+against `reference_energy`.
 """
 
 from __future__ import annotations

@@ -20,13 +20,12 @@ last grid instant it crosses, the only one a read can see and so the one at
 which the counter is snapshotted. The step's coefficients are plant state,
 recomputed only when they can change: when `apply_frequency` changes the
 frequency, and at each activity event. `advance` just reads them. The part
-that depends on frequency alone is cached per frequency.
+that depends on frequency alone is recomputed when the frequency changes.
 The class implements the same apply/advance/read seam a hardware driver would.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, fields
@@ -118,14 +117,11 @@ class Plant:
         self.profile = profile
         self.omega = omega
         check_frequency(u0, omega)
-        # At most 64 frequencies: a ladder's levels all fit, and a continuous
-        # range cannot grow the cache without bound.
-        self._coeffs = functools.lru_cache(maxsize=64)(
-            functools.partial(_freq_coefficients, params))
         # beta falls as phi rises (see _freq_coefficients), also in floats, as
         # each operation rounds monotonically: the top level runs away first.
-        self._coeffs(omega.max_level)
+        _freq_coefficients(params, omega.max_level)
         self.freq = u0
+        self._freq_part = _freq_coefficients(params, u0)
         self.temp = params.t_amb
         self.energy_acc = 0.0
         self.counter_joules = 0.0
@@ -157,6 +153,7 @@ class Plant:
             return
         check_frequency(phi, self.omega)
         self.freq = phi
+        self._freq_part = _freq_coefficients(self.params, phi)
         self._step = self._step_coefficients()
 
     def read_energy(self) -> float:
@@ -200,7 +197,7 @@ class Plant:
     def _step_coefficients(self) -> tuple[float, float, float, float, float]:
         """(q, x_inf, g*tau, beta, -beta) at the current operating point."""
         p, freq = self.params, self.freq
-        v, sv, g_tau, beta, nbeta = self._coeffs(freq)
+        v, sv, g_tau, beta, nbeta = self._freq_part
         q = self.alpha * p.cap * v * v * freq + sv
         return q, p.r_th * q / beta, g_tau, beta, nbeta
 

@@ -16,8 +16,7 @@ def run_cli(*argv):
 
 # SHA-256 of the stdout of each default command. Refactors keep this output
 # byte-identical; a change that alters it on purpose updates the digest and
-# says so in CHANGES.md. `oracle` is pinned apart, below: its least-squares
-# line depends on the numpy build.
+# says so in CHANGES.md.
 STDOUT_DIGESTS = {
     "run": "321f7430c5018866353b857b9e8fcd0784ff2b45de5d48015e2a7d5f841faf5c",
     "sweep": "9e8bcce0795ea826d138ab78c179af688b393fc717b18638029770af8245ff13",
@@ -143,22 +142,6 @@ class TestSweep:
         assert f"config error: {key}: sweep sets" in capsys.readouterr().err
 
 
-class TestOracle:
-    def test_oracle_prints_reference_values(self, capsys):
-        assert run_cli("oracle") == 0
-        out = capsys.readouterr().out
-        assert "nearest(1.9) = 1.8" in out
-        assert "Newton iterates" in out
-        assert "static share" in out
-
-    def test_stdout_but_the_least_squares_line_is_pinned(self, capsys):
-        assert run_cli("oracle") == 0
-        lines = capsys.readouterr().out.splitlines(keepends=True)
-        rest = "".join(line for line in lines if not line.startswith("  coeffs = "))
-        assert hashlib.sha256(rest.encode()).hexdigest() == (
-            "b095cf4deeb59bd1eb16776a9ded11dd3d9e9b5678cda5a56885604681b7069d")
-
-
 class TestDefaults:
     def test_defaults_prints_parsable_config(self, capsys):
         assert run_cli("defaults") == 0
@@ -170,23 +153,21 @@ class TestDefaults:
 
 def test_import_path_loads_no_numpy(tmp_path):
     # With numpy blocked, any import of it raises: run, sweep and defaults
-    # still print their pinned output, and only oracle fails, naming numpy.
+    # still print their pinned output.
     src = os.path.dirname(os.path.dirname(powerreg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    for command in (*STDOUT_DIGESTS, "oracle"):
+    for command in STDOUT_DIGESTS:
         probe = ("import sys; sys.modules['numpy'] = None; from powerreg.cli import main; "
                  f"raise SystemExit(main([{command!r}]))")
         proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
                               capture_output=True, text=True)
-        if command == "oracle":
-            assert proc.returncode == 3
-            assert "numpy" in proc.stderr
-        else:
-            assert proc.returncode == 0, proc.stderr
-            digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-            assert digest == STDOUT_DIGESTS[command], command
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == STDOUT_DIGESTS[command], command
 
 
 def test_requires_subcommand():
-    with pytest.raises(SystemExit):
-        cli.main([])
+    # `oracle` is not a subcommand, so argparse rejects it too.
+    for argv in ([], ["oracle"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
-from powerreg.oracles import first_order_rise, static_share, steady_power, true_cubic_coeffs
+from powerreg.oracles import (first_order_rise, reference_energy, static_share, steady_power,
+                              true_cubic_coeffs)
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
@@ -156,6 +157,23 @@ class TestApplyFrequency:
             with pytest.raises(ValueError, match="frequency must be positive and finite"):
                 plant.apply_frequency(bad)
         assert plant.freq == 1.0
+
+    def test_continuous_schedule_energy_matches_quadrature(self):
+        # More distinct frequencies than a ladder has, some revisited after
+        # others: each change recomputes the frequency's coefficients.
+        params, omega = PlantParams(), FrequencyRange(0.8, 3.4)
+        rng = random.Random(5)
+        freqs = [rng.uniform(0.8, 3.4) for _ in range(90)]
+        freqs += rng.sample(freqs, 10)
+        assert len(set(freqs)) > 64
+        profile = make_profile("graph_irregular", seed=6)
+        plant = Plant(params, profile, u0=freqs[0], omega=omega, seed=2)
+        for phi in freqs:
+            plant.apply_frequency(phi)
+            plant.advance(4.0)
+        schedule = [(k * 4.0, phi) for k, phi in enumerate(freqs)]
+        ref = reference_energy(params, profile, schedule, 4.0 * len(freqs))
+        assert plant.energy_acc == pytest.approx(ref, rel=1e-3)
 
 
 class TestAdvance:

@@ -329,6 +329,9 @@ class _Text6g(dict):
         return text
 
 
+_CHUNK_ROWS = 256  # trace rows per write call in write_csv
+
+
 def write_csv(trace: list[TraceRecord], path: str) -> None:
     """Write a trace to CSV: header plus one row per cycle, 6 significant digits."""
     # On a ladder freq_ghz takes one of a few levels, and target_w takes one
@@ -338,11 +341,13 @@ def write_csv(trace: list[TraceRecord], path: str) -> None:
     text = _Text6g()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        # Streamed row by row: joining the whole trace first costs its size in memory.
-        fh.writelines(_ROW % (r.t_ms, text[r.freq_ghz], r.power_w, text[r.target_w],
-                              r.error_w, r.gain, r.coeff_a, r.coeff_b, r.coeff_c,
-                              r.coeff_d, r.deriv_est, r.settled)
-                      for r in trace)
+        # One write per chunk: a write per row costs more per row, and joining
+        # the whole trace first costs its size in memory.
+        for i in range(0, len(trace), _CHUNK_ROWS):
+            fh.write("".join([_ROW % (r.t_ms, text[r.freq_ghz], r.power_w, text[r.target_w],
+                                      r.error_w, r.gain, r.coeff_a, r.coeff_b, r.coeff_c,
+                                      r.coeff_d, r.deriv_est, r.settled)
+                              for r in trace[i:i + _CHUNK_ROWS]]))
 
 
 def read_csv(path: str) -> list[TraceRecord]:

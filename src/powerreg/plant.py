@@ -204,8 +204,10 @@ class Plant:
     def _sample_alpha(self, now: int) -> None:
         """Sample alpha at time now, us, update the step coefficients and
         schedule alpha's next change."""
-        self.alpha = self.profile.sample_alpha(now / 1000.0)
+        t_ms, profile = now / 1000.0, self.profile
+        self.alpha = profile.sample_alpha(t_ms)
         self._step = self._step_coefficients()
-        nxt_ms = self.profile.next_change_ms(now / 1000.0)
-        self._next_alpha_us = (math.inf if math.isinf(nxt_ms)
-                               else max(math.ceil(nxt_ms * 1000.0), now + 1))
+        # Up to the next whole us, and at least 1 us on; inf stays inf.
+        nxt = profile.next_change_ms(t_ms) * 1000.0
+        nxt_us = math.ceil(nxt) if nxt < math.inf else nxt
+        self._next_alpha_us = nxt_us if nxt_us > now else now + 1

@@ -17,9 +17,10 @@ once, at construction, and leaves out each one that cannot change alpha.
 Each process keeps only its current interval and walks forward from it, so
 a profile's memory does not grow with simulated time. A query earlier than
 the current interval replays the stream from its start: two consumers that
-advance in lockstep should each have their own profile. A profile answers
-alpha and the next change from one lookup of each process and keeps both
-for the last time asked, as the plant asks for the two at one time.
+advance in lockstep should each have their own profile. A query walks only
+a process whose interval does not cover its time: at an activity change,
+the one whose interval ended. Alpha and the next change are cached for the
+last time asked, so the plant's second question at that time costs a compare.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class _Renewal:
 
     Interval i spans [start, end); its dwell is exponential with mean
     means[i % len(means)], and it carries a value draw in [0, 1). Only the
-    current interval is kept; a query before it re-seeds the stream from key
-    and draws again from interval 0.
+    current interval is kept, in start, end, index and value; a query before
+    it re-seeds the stream from key and draws again from interval 0.
     """
 
     def __init__(self, key: str, means: tuple[float, ...]):
@@ -67,14 +68,14 @@ class _Renewal:
 
     def _rewind(self) -> None:
         self._rng = random.Random(self._key)
-        self._start = 0.0
-        self._cur = (-1, 0.0, 0.0)  # (index, value draw, end) of the current interval
+        self.start = self.end = 0.0
+        self.index, self.value = -1, 0.0
 
-    def locate(self, t: float) -> tuple[int, float, float]:
-        """Return (index, value draw in [0,1), interval end) for time t."""
-        if t < self._start:
+    def locate(self, t: float) -> None:
+        """Make the interval that covers time t the current one."""
+        if t < self.start:
             self._rewind()
-        i, value, end = self._cur
+        i, end = self.index, self.end
         if end <= t:
             rng, means = self._rng, self._means
             while end <= t:
@@ -82,8 +83,7 @@ class _Renewal:
                 start = end
                 end = start - means[i % len(means)] * math.log1p(-rng.random())
                 value = rng.random()
-            self._start, self._cur = start, (i, value, end)
-        return self._cur
+            self.start, self.end, self.index, self.value = start, end, i, value
 
 
 @dataclass(frozen=True)
@@ -138,29 +138,34 @@ class WorkloadProfile:
             stalls = _Renewal(f"{self.seed}:stalls", (busy_mean, stall_mean))
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_stalls", stalls)
-        object.__setattr__(self, "_last", (None,) * 3)  # (t, alpha, next change)
+        object.__setattr__(self, "_last", [None] * 3)  # [t, alpha, next change], set in place
 
-    def _at(self, t_ms: float) -> tuple[float, float, float]:
-        """(t_ms, alpha at t_ms, next change after t_ms), one lookup per process."""
-        if self._last[0] == t_ms:
-            return self._last
+    def _at(self, t_ms: float) -> list:
+        """Cache [t_ms, alpha, next change]; walk only processes not covering t_ms."""
         if not 0.0 <= t_ms < math.inf:
             raise ValueError(f"time must be finite and non-negative, got {t_ms!r}")
         alpha, nxt = self.alpha_mean, math.inf
-        if self._levels is not None:
-            _, u, nxt = self._levels.locate(t_ms)
-            alpha = self.alpha_mean * (1.0 + self.alpha_jitter * (2.0 * u - 1.0))
-        if self._stalls is not None:
-            j, _, end = self._stalls.locate(t_ms)
-            if j % 2 == 1:
+        levels, stalls = self._levels, self._stalls
+        if levels is not None:
+            if not levels.start <= t_ms < levels.end:
+                levels.locate(t_ms)
+            alpha *= 1.0 + self.alpha_jitter * (2.0 * levels.value - 1.0)
+            nxt = levels.end
+        if stalls is not None:
+            if not stalls.start <= t_ms < stalls.end:
+                stalls.locate(t_ms)
+            if stalls.index % 2 == 1:
                 alpha *= self.stall_alpha_scale
-            nxt = min(nxt, end)
-        object.__setattr__(self, "_last", (t_ms, alpha, nxt))
-        return self._last
+            if stalls.end < nxt:
+                nxt = stalls.end
+        last = self._last
+        last[:] = t_ms, alpha, nxt
+        return last
 
     def sample_alpha(self, t_ms: float) -> float:
         """Activity factor at time t_ms; pure function of (profile, t_ms)."""
-        return self._at(t_ms)[1]
+        last = self._last
+        return (last if last[0] == t_ms else self._at(t_ms))[1]
 
     def next_change_ms(self, t_ms: float) -> float:
         """Earliest time strictly after t_ms at which alpha may change.
@@ -168,7 +173,8 @@ class WorkloadProfile:
         Returns inf for a constant profile. Used by the plant to integrate
         alpha exactly as a piecewise-constant signal.
         """
-        return self._at(t_ms)[2]
+        last = self._last
+        return (last if last[0] == t_ms else self._at(t_ms))[2]
 
 
 def make_profile(kind: str, seed: int, **overrides: float) -> WorkloadProfile:

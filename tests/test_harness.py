@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from powerreg.freqset import DEFAULT_LEVELS, FrequencyRange
 from powerreg.harness import (
+    _CHUNK_ROWS,
     CSV_COLUMNS,
     DEFAULT_CONFIG_TEXT,
     ConfigError,
@@ -344,6 +345,20 @@ class TestCsv:
             if all(map(math.isfinite, values)):
                 assert [getattr(rt, name) for name in CSV_COLUMNS[:-1]] == [
                     float(format(v, ".6g")) for v in values]
+
+    @pytest.mark.parametrize("rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                      2 * _CHUNK_ROWS + 1])
+    def test_rows_survive_chunk_boundaries(self, tmp_path, rows):
+        # Every row differs, so a chunk written twice, dropped or out of order shows.
+        trace = [make_record(float(i), 9.0 + i / 7.0, freq=DEFAULT_LEVELS[i % len(DEFAULT_LEVELS)])
+                 for i in range(rows)]
+        path = tmp_path / "t.csv"
+        write_csv(trace, str(path))
+        assert path.read_bytes() == reference_csv(trace).encode()
+        assert read_csv(str(path)) == [
+            TraceRecord(*[float(format(getattr(rec, name), ".6g")) for name in CSV_COLUMNS[:-1]],
+                        settled=rec.settled)
+            for rec in trace]
 
     @pytest.mark.parametrize("kind, cycle_ms", BENCHMARK_TRACE_DIGESTS)
     def test_benchmark_trace_digests_are_pinned(self, tmp_path, kind, cycle_ms):

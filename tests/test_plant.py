@@ -399,6 +399,43 @@ class TestDeterminism:
         assert 0.0 <= c.counter_phase_ms < 1.0
 
 
+class CountingProfile:
+    """A profile seen only through sample_alpha and next_change_ms, with no
+    __getattr__, as the benchmark's timing proxy sees it; counts both calls."""
+
+    def __init__(self, profile):
+        self._profile = profile
+        self.sample_calls = self.next_calls = 0
+
+    def sample_alpha(self, t_ms):
+        self.sample_calls += 1
+        return self._profile.sample_alpha(t_ms)
+
+    def next_change_ms(self, t_ms):
+        self.next_calls += 1
+        return self._profile.next_change_ms(t_ms)
+
+
+class TestProfileContract:
+    def test_plant_asks_each_question_once_per_activity_change(self):
+        counting = CountingProfile(make_profile("graph_irregular", seed=5))
+        plants = [Plant(PlantParams(), profile, u0=2.0, omega=DEFAULT_OMEGA, seed=5)
+                  for profile in (counting, make_profile("graph_irregular", seed=5))]
+        for plant in plants:
+            for _ in range(200):
+                plant.advance(10.0)
+        wrapped, bare = plants
+        assert (wrapped.energy_acc, wrapped.counter_joules, wrapped.temp) == (
+            bare.energy_acc, bare.counter_joules, bare.temp)
+        # The activity changes in (0, 2000] ms, walked on a fresh profile.
+        changes, t = 0, 0.0
+        walk = make_profile("graph_irregular", seed=5)
+        while (t := walk.next_change_ms(t)) <= 2000.0:
+            changes += 1
+        assert changes > 400  # graph_irregular changes about every 3 ms
+        assert counting.sample_calls == counting.next_calls == changes + 1
+
+
 class TestCubicGroundTruth:
     def test_rls_recovers_plant_polynomial(self):
         # fixed activity and kappa=0 make total power an exact cubic; the

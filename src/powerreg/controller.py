@@ -14,35 +14,48 @@ whose true slope is positive.
 from __future__ import annotations
 
 import math
+import sys
 
 from .freqset import FrequencyRange, FrequencySet, check_frequency
 
 DEFAULT_DERIV_FLOOR = 0.1  # watts/GHz; binds only on degenerate estimates
 
+# The legal floors: the normal positive floats. A subnormal floor would let
+# the gain 1/floor overflow to inf; NaN fails both comparisons.
+_FLOOR_MIN = sys.float_info.min
+_FLOOR_MAX = sys.float_info.max
+
 
 def _check_floor(deriv_floor: float) -> None:
-    if not (math.isfinite(deriv_floor) and deriv_floor > 0.0):
-        raise ValueError("deriv_floor must be positive and finite")
+    if not _FLOOR_MIN <= deriv_floor <= _FLOOR_MAX:
+        raise ValueError("deriv_floor must be a positive, finite, normal float")
 
 
 def gain(deriv_estimate: float, deriv_floor: float = DEFAULT_DERIV_FLOOR) -> float:
     """Integrator gain: reciprocal of the floor-clamped slope estimate.
 
-    Always positive and at most 1/deriv_floor.
+    Always positive, finite and at most 1/deriv_floor.
     """
     if not math.isfinite(deriv_estimate):
         raise ValueError("derivative estimate must be finite")
     # _check_floor's test, inline: gain runs on every control cycle.
-    if not (math.isfinite(deriv_floor) and deriv_floor > 0.0):
-        raise ValueError("deriv_floor must be positive and finite")
-    return 1.0 / max(deriv_estimate, deriv_floor)
+    if not _FLOOR_MIN <= deriv_floor <= _FLOOR_MAX:
+        raise ValueError("deriv_floor must be a positive, finite, normal float")
+    # max(deriv_estimate, deriv_floor), without the cost of a builtin call:
+    # two-argument max keeps its first item unless the second is greater.
+    return 1.0 / (deriv_floor if deriv_floor > deriv_estimate else deriv_estimate)
 
 
 def tracking_error(target: float, measured: float) -> float:
-    """Error signal: target minus measurement, watts."""
-    if not (math.isfinite(target) and math.isfinite(measured)):
-        raise ValueError("target and measurement must be finite")
-    return target - measured
+    """Error signal: target minus measurement, watts.
+
+    Raises if the difference is not finite, which also covers a non-finite
+    input: a float difference is finite only if both operands are.
+    """
+    error = target - measured
+    if not math.isfinite(error):
+        raise ValueError("target, measurement and their difference must be finite")
+    return error
 
 
 class IntegralController:

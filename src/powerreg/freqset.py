@@ -7,8 +7,8 @@ bounds.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -63,7 +63,7 @@ class FrequencySet:
         if not math.isfinite(u):
             raise ValueError(f"cannot project non-finite frequency {u!r}")
         levels = self.levels
-        i = bisect.bisect_left(levels, u)
+        i = bisect_left(levels, u)
         if i == 0:
             return levels[0]
         if i == len(levels):
@@ -99,7 +99,13 @@ class FrequencyRange:
         """Clamp a real-valued frequency command into the range."""
         if not math.isfinite(u):
             raise ValueError(f"cannot project non-finite frequency {u!r}")
-        return min(max(u, self.min_level), self.max_level)
+        # min(max(u, lo), hi) by comparisons, without two builtin calls:
+        # max keeps its first item unless the second is greater, min unless
+        # the second is less.
+        lo, hi = self.min_level, self.max_level
+        if lo > u:
+            u = lo
+        return hi if hi < u else u
 
 
 def check_frequency(phi: float, omega: FrequencySet | FrequencyRange) -> None:

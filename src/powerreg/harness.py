@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 import re
-import statistics
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
@@ -235,6 +234,7 @@ def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
     """Run one closed-loop experiment and return its per-cycle trace."""
     plant, estimator, controller = _build_loop(config)
     cycle_ms, target, floor = config.cycle_ms, config.target_w, config.deriv_floor
+    cycle_s = cycle_ms * 1e-3
     n_cycles = int(config.duration_ms // cycle_ms)
     band_lo = target * (1.0 - config.settle_band_frac)
     band_hi = target * (1.0 + config.settle_band_frac)
@@ -247,7 +247,7 @@ def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
         # actions begin once there is a measurement to react to.
         plant.advance(cycle_ms)
         now_energy = plant.read_energy()
-        y = (now_energy - prev_energy) / (cycle_ms * 1e-3)
+        y = (now_energy - prev_energy) / cycle_s
         prev_energy = now_energy
 
         model = estimator.update(u, y)
@@ -293,7 +293,10 @@ def steady_error(
             f"settle_ms {settle_ms!r} is beyond the end of the trace "
             f"({trace[-1].t_ms} ms)")
     tail = [rec.power_w for rec in trace if rec.t_ms >= settle_ms]
-    return abs(statistics.fmean(tail) - target_w)
+    # statistics.fmean's arithmetic (Python 3.10 to 3.13), here and in
+    # mean_frequency, without importing statistics, which loads fractions,
+    # decimal and numbers.
+    return abs(math.fsum(tail) / len(tail) - target_w)
 
 
 def mean_frequency(trace: list[TraceRecord], from_ms: float = 0.0) -> float:
@@ -301,7 +304,7 @@ def mean_frequency(trace: list[TraceRecord], from_ms: float = 0.0) -> float:
     vals = [rec.freq_ghz for rec in trace if rec.t_ms >= from_ms]
     if not vals:
         raise ValueError("no records at or after from_ms")
-    return statistics.fmean(vals)
+    return math.fsum(vals) / len(vals)
 
 
 # -- CSV --------------------------------------------------------------------

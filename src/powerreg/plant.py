@@ -164,7 +164,7 @@ class Plant:
         """Advance simulated time by dt_ms milliseconds."""
         if not (math.isfinite(dt_ms) and dt_ms > 0.0):
             raise ValueError("dt_ms must be positive and finite")
-        dt_us = int(round(dt_ms * 1000.0))
+        dt_us = round(dt_ms * 1000.0)  # an int: round of one float
         if dt_us < 1:
             raise ValueError("dt_ms must be at least 1 microsecond")
         clock, temp, energy = self._clock_us, self.temp, self.energy_acc

@@ -132,7 +132,11 @@ class RlsEstimator:
         ma, mb, mc, md = self.model
         e = power - (h3 * ma + h2 * mb + phi * mc + md)
         a, b, c, d = ma + k0 * e, mb + k1 * e, mc + k2 * e, md + k3 * e
-        _check_coefficients(a, b, c, d)
+        # A float sum is finite only if every term is, so one test covers all
+        # four; the full check runs only to name the culprit. Finite terms can
+        # still sum past the float range, and then it finds none.
+        if not math.isfinite(a + b + c + d):
+            _check_coefficients(a, b, c, d)
         # Checked just above, so the model skips CubicModel.__new__'s check.
         self.model = tuple.__new__(CubicModel, (a, b, c, d))
         self._p = ((p00 - k0 * g0) / lam, (p01 - k0 * g1) / lam,

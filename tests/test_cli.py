@@ -81,6 +81,11 @@ class TestRun:
     def test_bad_set_syntax_exits_2(self, capsys):
         assert run_cli("run", "--set", "cycle_ms") == 2
 
+    def test_subnormal_deriv_floor_is_a_config_error(self, capsys):
+        # 1/1e-310 is inf: such a floor would make the gain infinite
+        assert run_cli("run", "--set", "controller.deriv_floor=1e-310") == 2
+        assert capsys.readouterr().err.startswith("config error: controller: deriv_floor")
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "no_such_dir" / "t.csv"
         assert run_cli("run", "--out", str(missing),
@@ -164,6 +169,17 @@ def test_import_path_loads_no_numpy(tmp_path):
         assert proc.returncode == 0, proc.stderr
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == STDOUT_DIGESTS[command], command
+
+
+def test_import_path_loads_no_statistics():
+    # statistics would pull in fractions, decimal and numbers on every run.
+    src = os.path.dirname(os.path.dirname(powerreg.__file__))
+    probe = ("import sys, powerreg.cli; "
+             "print(sorted({'statistics', 'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_requires_subcommand():

@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from powerreg.controller import IntegralController, gain, tracking_error
 from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
@@ -51,6 +53,30 @@ class TestGain:
         with pytest.raises(ValueError):
             gain(1.0, -1.0)
 
+    @pytest.mark.parametrize("floor", [5e-324, 1e-310, math.nextafter(sys.float_info.min, 0.0),
+                                       math.nan, math.inf])
+    def test_rejects_floor_that_is_not_a_normal_float(self, floor):
+        # 1/5e-324 is inf: a subnormal floor would pass an infinite gain on
+        with pytest.raises(ValueError, match="deriv_floor"):
+            gain(0.0, floor)
+        with pytest.raises(ValueError, match="deriv_floor"):
+            IntegralController(DEFAULT_OMEGA, 2.0, deriv_floor=floor)
+
+    @pytest.mark.parametrize("floor", [sys.float_info.min, sys.float_info.max])
+    def test_extreme_normal_floors_give_a_finite_gain(self, floor):
+        assert 0.0 < gain(-1.0, floor) < math.inf
+        IntegralController(DEFAULT_OMEGA, 2.0, deriv_floor=floor)
+
+    @given(deriv=st.floats(allow_nan=False, allow_infinity=False),
+           floor=st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max))
+    @example(deriv=0.1, floor=0.1)
+    @example(deriv=0.0, floor=0.1)
+    @example(deriv=-0.0, floor=0.1)
+    @example(deriv=-3.0, floor=0.1)
+    @example(deriv=5e-324, floor=sys.float_info.min)
+    def test_matches_builtin_max_bit_for_bit(self, deriv, floor):
+        assert gain(deriv, floor).hex() == (1.0 / max(deriv, floor)).hex()
+
 
 class TestTrackingError:
     def test_basic(self):
@@ -66,6 +92,17 @@ class TestTrackingError:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             tracking_error(float("inf"), 1.0)
+        with pytest.raises(ValueError):
+            tracking_error(1.0, float("nan"))
+
+    def test_rejects_a_difference_past_the_float_range(self):
+        # both inputs are finite, but their difference is inf
+        with pytest.raises(ValueError, match="difference must be finite"):
+            tracking_error(1e308, -1e308)
+        ctrl = IntegralController(DEFAULT_OMEGA, u0=2.0)
+        with pytest.raises(ValueError):
+            ctrl.step(1e308, -1e308, 4.0)
+        assert ctrl.u_prev == 2.0
 
 
 class TestStep:

@@ -114,6 +114,17 @@ class TestUpdate:
         assert est.P == p
         assert est.sample_count == 0
 
+    @given(a=st.floats(1.2e308, 1.7e308), b=st.floats(1.2e308, 1.7e308),
+           power=st.floats(0.0, 20.0))
+    def test_finite_coefficients_summing_past_the_float_range_pass(self, a, b, power):
+        # Every new coefficient is finite but a + b is inf: the update's one
+        # finiteness test on the sum must not refuse it.
+        est = RlsEstimator(0.98, 1e3, CubicModel(a, b, 0.0, 0.0))
+        model = est.update(0.5, power)
+        assert all(math.isfinite(v) for v in model)
+        assert not math.isfinite(sum(model))
+        assert est.sample_count == 1
+
     def test_degenerate_covariance_is_named_and_leaves_state(self):
         # p0 * h'h overflows: lambda + h'Ph is inf on the first sample
         est = RlsEstimator(0.98, 1e307)

@@ -236,8 +236,7 @@ def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
     cycle_ms, target, floor = config.cycle_ms, config.target_w, config.deriv_floor
     cycle_s = cycle_ms * 1e-3
     n_cycles = int(config.duration_ms // cycle_ms)
-    band_lo = target * (1.0 - config.settle_band_frac)
-    band_hi = target * (1.0 + config.settle_band_frac)
+    band_lo, band_hi = settling_band(target, config.settle_band_frac)
 
     trace: list[TraceRecord] = []
     u = config.u0
@@ -268,14 +267,18 @@ def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
 
 # -- metrics ----------------------------------------------------------------
 
+def settling_band(target_w: float, band_frac: float) -> tuple[float, float]:
+    """The band around target_w, watts, inside which a cycle counts as settled."""
+    return target_w * (1.0 - band_frac), target_w * (1.0 + band_frac)
+
+
 def settling_time(
     trace: list[TraceRecord], target_w: float, band_frac: float
 ) -> float | None:
     """First cycle time at which measured power enters the target band."""
     if not trace:
         raise ValueError("trace must be non-empty")
-    lo = target_w * (1.0 - band_frac)
-    hi = target_w * (1.0 + band_frac)
+    lo, hi = settling_band(target_w, band_frac)
     for rec in trace:
         if lo <= rec.power_w <= hi:
             return rec.t_ms
@@ -312,13 +315,10 @@ def mean_frequency(trace: list[TraceRecord], from_ms: float = 0.0) -> float:
 CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".6g")
-
-
-# One trace row, in CSV_COLUMNS order: "%.6g" gives the same text as _fmt for
-# every float (signed zeros, infinities and nan included), and no field needs
-# CSV quoting. freq_ghz and target_w arrive as text, from a _Text6g memo.
+# One trace row, in CSV_COLUMNS order: "%.6g" gives the same text as
+# format(value, ".6g") for every float (signed zeros, infinities and nan
+# included), and no field needs CSV quoting. freq_ghz and target_w arrive as
+# text, from a _Text6g memo.
 _ROW = "%.6g,%s,%.6g,%s," + ",".join(["%.6g"] * 7) + ",%d\n"
 
 
@@ -476,5 +476,5 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([row.scenario, str(row.cycle_ms)] + [
-                "" if v is None else _fmt(v)
+                "" if v is None else format(v, ".6g")
                 for v in (row.settling_ms, row.error_w, row.mean_freq_ghz)])

@@ -77,17 +77,11 @@ class PlantParams:
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
 
-    def voltage(self, phi: float) -> float:
-        """Supply voltage at frequency phi (GHz)."""
-        if not phi > 0.0:
-            raise ValueError("frequency must be positive")
-        return self.v0 + self.m * phi
-
 
 def _freq_coefficients(p: PlantParams, freq: float) -> tuple[float, float, float, float, float]:
     """The step coefficients that depend on freq alone: (v, sigma*v, g*tau, beta, -beta)."""
     # With x = temp - t_amb, power is q + g*x and tau*x' = r_th*q - beta*x.
-    v = p.voltage(freq)
+    v = p.v0 + p.m * freq
     sv = p.sigma * v
     g = sv * p.kappa
     beta = 1.0 - p.r_th * g

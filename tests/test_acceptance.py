@@ -194,9 +194,12 @@ def test_static_power_share():
     plant.advance(1000.0)
     p_total = plant.read_energy() - start  # joules over 1 s
     share = 1.0 - steady_power(replace(params, sigma=0.0), plant.alpha, 2.0) / p_total
-    ok = 0.20 <= share <= 0.30
+    ref_share = static_share(params, plant.alpha, 2.0)
+    ok = (0.20 <= share <= 0.30
+          and share == pytest.approx(ref_share, rel=1e-6)
+          and p_total == pytest.approx(steady_power(params, plant.alpha, 2.0), rel=1e-6))
     report(f"static power share at 2.0 GHz steady state ({share:.4f}, "
-           f"reference {static_share(params, plant.alpha, 2.0):.4f})", ok)
+           f"reference {ref_share:.4f})", ok)
 
 
 def test_energy_conservation():

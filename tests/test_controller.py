@@ -7,24 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from powerreg.controller import IntegralController, gain, tracking_error
 from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
-from powerreg.oracles import newton_path, true_cubic_coeffs
-from powerreg.plant import PlantParams
-
-# Plant-shaped cubic used as a static test plant: increasing over the whole
-# operating range, coefficients from the default simulated part at alpha=1.
-A, B, C, D = true_cubic_coeffs(PlantParams(), alpha=1.0)
-
-
-def g(u):
-    return ((A * u + B) * u + C) * u + D
-
-
-def dg(u):
-    return (3.0 * A * u + 2.0 * B) * u + C
-
-
-# A frequency range the Newton iterates never reach, so no clamp binds.
-WIDE = FrequencyRange(0.1, 10.0)
+from powerreg.oracles import newton_path
+from test_acceptance import WIDE, dg, g
 
 
 class TestGain:
@@ -157,19 +141,6 @@ class TestNewtonBehavior:
         for expected in ref[1:]:
             u = ctrl.step(10.0, g(u), dg(u))
             assert u == pytest.approx(expected, rel=1e-14)
-
-    def test_geometric_contraction_with_exact_derivative(self):
-        ctrl = IntegralController(WIDE, u0=2.0)
-        u = 2.0
-        err = abs(10.0 - g(u))
-        steps = 0
-        while err > 1e-9:
-            u = ctrl.step(10.0, g(u), dg(u))
-            new_err = abs(10.0 - g(u))
-            assert new_err < 0.8 * err
-            err = new_err
-            steps += 1
-            assert steps <= 20
 
     def test_converges_despite_derivative_errors(self):
         # relative derivative error up to 0.5 in magnitude, random sign

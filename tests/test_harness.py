@@ -159,6 +159,7 @@ class TestParseConfig:
         (dict(rls_x0=(1.0, 2.0, 3.0)), "rls.x0"),
         (dict(cycle_ms=True), "cycle_ms"),
         (dict(seed=True), "seed"),
+        (dict(settle_band_frac=0.5), "settle_band_frac"),
     ])
     def test_validate_reaches_each_owner(self, changes, key):
         # A config built directly, not parsed, is checked by the same rules.
@@ -167,14 +168,6 @@ class TestParseConfig:
 
 
 class TestRunExperiment:
-    def test_record_count_is_duration_over_cycle(self):
-        cfg = parse_config("duration_ms=4000\ncycle_ms=10")
-        assert len(run_experiment(cfg)) == 400
-
-    def test_partial_final_cycle_is_dropped(self):
-        cfg = parse_config("duration_ms=95\ncycle_ms=10")
-        assert len(run_experiment(cfg)) == 9
-
     def test_time_advances_by_cycle(self):
         cfg = parse_config("duration_ms=300\ncycle_ms=30")
         trace = run_experiment(cfg)
@@ -212,13 +205,6 @@ class TestRunExperiment:
             trace = run_experiment(cfg)
             assert all(0.8 <= rec.freq_ghz <= 3.4 for rec in trace)
 
-    def test_determinism_same_seed_same_bytes(self, tmp_path):
-        text = "workload.kind=graph_irregular\nseed=5\nduration_ms=1500"
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(run_experiment(parse_config(text)), str(a))
-        write_csv(run_experiment(parse_config(text)), str(b))
-        assert a.read_bytes() == b.read_bytes()
-
     def test_different_seed_changes_trace(self):
         t1 = run_experiment(parse_config("workload.kind=graph_irregular\nseed=1\nduration_ms=500"))
         t2 = run_experiment(parse_config("workload.kind=graph_irregular\nseed=2\nduration_ms=500"))
@@ -242,24 +228,29 @@ class TestSettlingTime:
     def test_never_entering_returns_none(self):
         assert settling_time(synthetic_trace([5.0, 6.0, 20.0]), 10.0, 0.05) is None
 
-    def test_band_entry_at_cycle_72(self):
-        powers = [6.0] * 72 + [9.8] * 328
-        assert settling_time(synthetic_trace(powers), 10.0, 0.05) == 720.0
-
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             settling_time([], 10.0, 0.05)
+
+    @pytest.mark.parametrize("kind, cycle_ms", BENCHMARK_TRACE_DIGESTS)
+    def test_settled_flag_and_settling_time_share_one_band(self, kind, cycle_ms):
+        # run_experiment sets each record's flag, and settling_time tests the
+        # power against the band on its own: the two must share one band. A
+        # one-record trace settles iff its power is in the band.
+        cfg = config_from_pairs({"workload.kind": kind, "cycle_ms": str(cycle_ms),
+                                 "duration_ms": "4000", "seed": "1"})
+        trace = run_experiment(cfg)
+        band = cfg.target_w, cfg.settle_band_frac
+        assert [rec.settled for rec in trace] == [
+            settling_time([rec], *band) is not None for rec in trace]
+        first = next(rec.t_ms for rec in trace if rec.settled)
+        assert settling_time(trace, *band) == first
 
 
 class TestSteadyError:
     def test_zero_when_all_on_target(self):
         trace = synthetic_trace([10.0] * 100)
         assert steady_error(trace, 10.0, 300.0) == 0.0
-
-    def test_reported_mean_offset(self):
-        powers = [6.0] * 72 + [10.2604] * 328
-        trace = synthetic_trace(powers)
-        assert steady_error(trace, 10.0, 720.0) == pytest.approx(0.2604, abs=1e-12)
 
     def test_symmetric_oscillation_averages_out(self):
         powers = [9.5, 10.5] * 50
@@ -423,16 +414,6 @@ class TestSweep:
         r1 = run_sweep(base, kinds=("compute_bound",), cycles=(10,))
         r2 = run_sweep(base, kinds=("compute_bound",), cycles=(10,))
         assert r1 == r2
-
-
-def test_config_validate_accepts_defaults():
-    ExperimentConfig().validate()
-
-
-def test_config_rejects_bad_band():
-    cfg = ExperimentConfig(settle_band_frac=0.5)
-    with pytest.raises(ConfigError):
-        cfg.validate()
 
 
 def test_record_count_matches_floor_formula():

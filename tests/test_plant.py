@@ -1,13 +1,11 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
-from powerreg.oracles import (first_order_rise, reference_energy, static_share, steady_power,
-                              true_cubic_coeffs)
+from powerreg.oracles import first_order_rise, reference_energy, steady_power, true_cubic_coeffs
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
@@ -20,23 +18,6 @@ def constant_profile(seed=0, alpha=1.0):
 def ten_watt_params(**overrides):
     # alpha*C*V^2*phi = 1*2*1*2 = 4 W dynamic, sigma*V = 6 W static, kappa = 0
     return PlantParams(cap=2.0, v0=1.0, m=0.0, sigma=6.0, kappa=0.0, **overrides)
-
-
-class TestVoltage:
-    def test_affine_law(self):
-        assert PlantParams(v0=0.6, m=0.2).voltage(2.0) == pytest.approx(1.0)
-
-    def test_constant_voltage_when_slope_zero(self):
-        p = PlantParams(v0=0.75, m=0.0)
-        for phi in (0.8, 1.7, 3.4):
-            assert p.voltage(phi) == 0.75
-
-    def test_top_of_range(self):
-        assert PlantParams(v0=0.6, m=0.2).voltage(3.4) == pytest.approx(1.28)
-
-    def test_rejects_non_positive_frequency(self):
-        with pytest.raises(ValueError, match="frequency must be positive"):
-            PlantParams().voltage(0.0)
 
 
 class TestDynamicPower:
@@ -83,21 +64,6 @@ class TestStaticPower:
         start = plant.read_energy()
         plant.advance(10.0)
         assert plant.read_energy() - start == pytest.approx(before, rel=1e-12)
-
-    def test_default_static_share_in_band(self):
-        # Total power from the counter over whole grid periods at the thermal
-        # fixed point; dynamic power is the fixed point without leakage.
-        params = PlantParams()
-        plant = Plant(params, constant_profile(), u0=2.0, omega=DEFAULT_OMEGA,
-                      counter_phase_ms=0.0)
-        plant.advance(3000.0)  # 15 thermal time constants
-        start = plant.read_energy()
-        plant.advance(1000.0)
-        p_total = plant.read_energy() - start  # joules over 1 s
-        share = 1.0 - steady_power(replace(params, sigma=0.0), 1.0, 2.0) / p_total
-        assert 0.20 <= share <= 0.30
-        assert share == pytest.approx(static_share(params, 1.0, 2.0), rel=1e-6)
-        assert p_total == pytest.approx(steady_power(params, 1.0, 2.0), rel=1e-6)
 
 
 class TestApplyFrequency:
@@ -242,7 +208,8 @@ class TestAdvance:
     def test_plant_that_passes_construction_does_not_run_away(self, sigma, r_th, ulps, omega):
         # kappa within 4 ulps of the runaway boundary at 3.4 GHz: the
         # construction check must round beta as the step does
-        kappa = 1.0 / (r_th * sigma * PlantParams().voltage(3.4))
+        defaults = PlantParams()
+        kappa = 1.0 / (r_th * sigma * (defaults.v0 + defaults.m * 3.4))
         params = PlantParams(sigma=sigma, kappa=kappa + ulps * math.ulp(kappa), r_th=r_th)
         try:
             plant = Plant(params, constant_profile(), u0=3.4, omega=omega, counter_phase_ms=0.0)

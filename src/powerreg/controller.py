@@ -26,11 +26,6 @@ _FLOOR_MIN = sys.float_info.min
 _FLOOR_MAX = sys.float_info.max
 
 
-def _check_floor(deriv_floor: float) -> None:
-    if not _FLOOR_MIN <= deriv_floor <= _FLOOR_MAX:
-        raise ValueError("deriv_floor must be a positive, finite, normal float")
-
-
 def gain(deriv_estimate: float, deriv_floor: float = DEFAULT_DERIV_FLOOR) -> float:
     """Integrator gain: reciprocal of the floor-clamped slope estimate.
 
@@ -38,7 +33,6 @@ def gain(deriv_estimate: float, deriv_floor: float = DEFAULT_DERIV_FLOOR) -> flo
     """
     if not math.isfinite(deriv_estimate):
         raise ValueError("derivative estimate must be finite")
-    # _check_floor's test, inline: gain runs on every control cycle.
     if not _FLOOR_MIN <= deriv_floor <= _FLOOR_MAX:
         raise ValueError("deriv_floor must be a positive, finite, normal float")
     # max(deriv_estimate, deriv_floor), without the cost of a builtin call:
@@ -74,7 +68,7 @@ class IntegralController:
         deriv_floor: float = DEFAULT_DERIV_FLOOR,
         projected_state: bool = True,
     ):
-        _check_floor(deriv_floor)
+        gain(1.0, deriv_floor)  # gain refuses a bad floor; 1.0 passes its estimate test
         self.omega = omega
         self.deriv_floor = deriv_floor
         self.projected_state = projected_state

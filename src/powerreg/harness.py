@@ -50,13 +50,6 @@ class TraceRecord:
 
 # -- config schema ------------------------------------------------------------
 
-def _parse_float(text: str) -> float:
-    v = float(text)
-    if not math.isfinite(v):
-        raise ValueError("must be finite")
-    return v
-
-
 def _parse_int(text: str) -> int:
     v = float(text)
     if not v.is_integer():
@@ -74,12 +67,13 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part) for part in text.split(",") if part.strip())
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
 @dataclass
 class _Key:
-    """One config key: its parser (text to value, raising ValueError), its
+    """One config key: its parser (text to value, raising ValueError; the
+    layer that takes the value checks its range, finiteness included), its
     default as `powerreg defaults` prints it, and the ExperimentConfig field
     it sets (the key itself unless named; plant.<name> and workload.<name>
     are fields of those parts). An optional key is printed commented out,
@@ -98,37 +92,37 @@ class _Key:
 # that own them, and only printed here.
 _SCHEMA: tuple[tuple[str, tuple[_Key, ...]], ...] = (
     ("experiment", (
-        _Key("target_w", _parse_float, "10.0"),
+        _Key("target_w", float, "10.0"),
         _Key("cycle_ms", _parse_int, "10"),
-        _Key("duration_ms", _parse_float, "4000"),
+        _Key("duration_ms", float, "4000"),
         _Key("omega", _parse_float_list, ",".join(map(str, DEFAULT_LEVELS))),
         _Key("omega_continuous", _parse_bool, "false"),
-        _Key("u0", _parse_float, "2.0"),
-        _Key("settle_band_frac", _parse_float, "0.05"),
+        _Key("u0", float, "2.0"),
+        _Key("settle_band_frac", float, "0.05"),
         _Key("seed", _parse_int, "1"),
         _Key("out_path", str, "trace.csv", optional=True),
     )),
     ("workload (unset numeric fields fall back to the kind's preset)", (
         _Key("workload.kind", str, "constant"),
     ) + tuple(
-        _Key(f"workload.{name}", _parse_float, repr(value), optional=True)
+        _Key(f"workload.{name}", float, repr(value), optional=True)
         for name, value in asdict(make_profile("compute_bound", seed=0)).items()
         if name not in ("kind", "seed")
     )),
     ("plant", tuple(
-        _Key(f"plant.{name}", _parse_float, repr(value))
+        _Key(f"plant.{name}", float, repr(value))
         for name, value in vars(PlantParams()).items()
     ) + (
-        _Key("plant.counter_phase", _parse_float, "0.0   (unset: drawn from the seed)",
+        _Key("plant.counter_phase", float, "0.0   (unset: drawn from the seed)",
              optional=True, field_name="counter_phase_ms"),
     )),
     ("identification", (
-        _Key("rls.lambda", _parse_float, "0.98", field_name="rls_forgetting"),
-        _Key("rls.p0", _parse_float, "1e3", field_name="rls_p0"),
+        _Key("rls.lambda", float, "0.98", field_name="rls_forgetting"),
+        _Key("rls.p0", float, "1e3", field_name="rls_p0"),
         _Key("rls.x0", _parse_float_list, "0,0,0,0", field_name="rls_x0"),
     )),
     ("controller", (
-        _Key("controller.deriv_floor", _parse_float, str(DEFAULT_DERIV_FLOOR),
+        _Key("controller.deriv_floor", float, str(DEFAULT_DERIV_FLOOR),
              field_name="deriv_floor"),
         _Key("controller.projected_state", _parse_bool, "true", field_name="projected_state"),
     )),

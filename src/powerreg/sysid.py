@@ -32,10 +32,10 @@ def _check_coefficients(a: float, b: float, c: float, d: float) -> None:
 
 
 class _Coefficients(NamedTuple):
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    d: float = 0.0
+    a: float
+    b: float
+    c: float
+    d: float
 
 
 class CubicModel(_Coefficients):

@@ -29,8 +29,6 @@ import math
 import random
 from dataclasses import dataclass
 
-KINDS = ("compute_bound", "memory_bound", "graph_irregular", "constant")
-
 # Preset knobs per profile kind. These are calibration values chosen so the
 # kinds reproduce the expected ordering of workload variability
 # (graph_irregular > memory_bound > compute_bound > constant). The constant
@@ -50,6 +48,8 @@ _PRESETS: dict[str, dict[str, float]] = {
         stall_fraction=0.45, stall_alpha_scale=0.4,
     ),
 }
+
+KINDS = (*_PRESETS, "constant")
 
 
 class _Renewal:

@@ -61,8 +61,10 @@ class TestRun:
         assert outs[0] != outs[1]
 
     def test_config_error_exits_2(self, capsys):
-        assert run_cli("run", "--set", "cycle_ms=7.5") == 2
-        assert "config error" in capsys.readouterr().err
+        # plant.tau_th=inf: the parser takes it, the plant refuses it
+        for setting, section in (("cycle_ms=7.5", "cycle_ms"), ("plant.tau_th=inf", "plant")):
+            assert run_cli("run", "--set", setting) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {section}: ")
 
     def test_unknown_key_exits_2(self, capsys):
         # plant.latency_ms: a key that `defaults` printed before the plant

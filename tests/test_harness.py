@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from powerreg.freqset import DEFAULT_LEVELS, FrequencyRange
 from powerreg.harness import (
     _CHUNK_ROWS,
+    _KEYS,
+    _parse_float_list,
     CSV_COLUMNS,
     DEFAULT_CONFIG_TEXT,
     ConfigError,
@@ -57,6 +59,21 @@ BENCHMARK_TRACE_DIGESTS = {
     ("graph_irregular", 10): "2c4b7df93827c30eb3ef7c2634afadf9690855861c6ec1a99fcf917e4a556118",
     ("compute_bound", 1): "6690d704458ffca7b8354cff1ae331b2417c526529c91bd7fbca1edd2bef70e6",
 }
+
+
+def non_finite_rows():
+    """One (text, pattern) row per float-valued schema key and value nan, inf
+    and -inf; a list key gets the value as its first item. The error must
+    start with the key's section, so the layer that refused it is named."""
+    rows = []
+    for key in _KEYS.values():
+        if key.parse not in (float, _parse_float_list):
+            continue
+        for bad in ("nan", "inf", "-inf"):
+            value = bad if key.parse is float else ",".join([bad, *key.default.split(",")[1:]])
+            rows.append(pytest.param(f"{key.name}={value}", "^" + key.name.split(".")[0],
+                                     id=f"{key.name}={bad}"))
+    return rows
 
 
 def reference_csv(trace):
@@ -108,7 +125,6 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text,key", [
         ("target_w=-3", "target_w"),
-        ("target_w=nan", "target_w"),
         ("settle_band_frac=0.7", "settle_band_frac"),
         ("u0=0.9", "u0"),
         ("omega=0.0,1.0", "frequency"),
@@ -120,6 +136,7 @@ class TestParseConfig:
         ("plant.counter_phase=1.5", "counter_phase"),
         ("duration_ms=5\ncycle_ms=10", "duration_ms"),
         ("omega_continuous=maybe", "omega_continuous"),
+        *non_finite_rows(),
     ])
     def test_invalid_values_name_the_key(self, text, key):
         with pytest.raises(ConfigError, match=key):

@@ -9,28 +9,46 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class FrequencySet:
+class _Levels(NamedTuple):
+    levels: tuple[float, ...]
+
+
+class FrequencySet(_Levels):
     """Finite ordered set of legal clock frequencies, in GHz.
 
     Levels are strictly increasing and positive. Instances are immutable and
     safe to share.
     """
 
-    levels: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.levels:
+    def __new__(cls, levels: tuple[float, ...]) -> "FrequencySet":
+        if not levels:
             raise ValueError("frequency set must not be empty")
-        for v in self.levels:
+        for v in levels:
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"frequency level must be finite and positive, got {v!r}")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+        if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("frequency levels must be strictly increasing")
+        return tuple.__new__(cls, (levels,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[tuple[float, ...]]) -> "FrequencySet":
+        return cls(*iterable)
+
+    # Iterating a set yields its levels, not its one field, so the named
+    # tuple methods that iterate their fields are restated on the field.
+    def _replace(self, /, **changes: tuple[float, ...]) -> "FrequencySet":
+        return FrequencySet(**{"levels": self.levels, **changes})
+
+    def _asdict(self) -> dict[str, tuple[float, ...]]:
+        return {"levels": self.levels}
+
+    def __getnewargs__(self) -> tuple[tuple[float, ...]]:
+        return (self.levels,)
 
     @classmethod
     def from_list(cls, values: Iterable[float]) -> "FrequencySet":
@@ -73,8 +91,12 @@ class FrequencySet:
         return lo if u - lo <= hi - u else hi
 
 
-@dataclass(frozen=True)
-class FrequencyRange:
+class _Bounds(NamedTuple):
+    min_level: float
+    max_level: float
+
+
+class FrequencyRange(_Bounds):
     """Closed interval [min_level, max_level] of legal frequencies, in GHz.
 
     The actuator range of continuous-frequency operation: any frequency in
@@ -82,15 +104,19 @@ class FrequencyRange:
     bound.
     """
 
-    min_level: float
-    max_level: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lo, hi = self.min_level, self.max_level
+    def __new__(cls, min_level: float, max_level: float) -> "FrequencyRange":
+        lo, hi = min_level, max_level
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
             raise ValueError(
                 f"frequency range must be finite and positive with min <= max, "
                 f"got [{lo!r}, {hi!r}]")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> "FrequencyRange":
+        return cls(*iterable)
 
     def __contains__(self, value: float) -> bool:
         return self.min_level <= value <= self.max_level

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Iterable, NamedTuple
 
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
 from .freqset import DEFAULT_LEVELS, FrequencyRange, FrequencySet, check_frequency
@@ -30,8 +30,7 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or violated config invariants."""
 
 
-@dataclass(slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One control cycle: what ran, what was measured, what the loop computed."""
 
     t_ms: float
@@ -70,8 +69,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-@dataclass
-class _Key:
+class _Key(NamedTuple):
     """One config key: its parser (text to value, raising ValueError; the
     layer that takes the value checks its range, finiteness included), its
     default as `powerreg defaults` prints it, and the ExperimentConfig field
@@ -106,12 +104,12 @@ _SCHEMA: tuple[tuple[str, tuple[_Key, ...]], ...] = (
         _Key("workload.kind", str, "constant"),
     ) + tuple(
         _Key(f"workload.{name}", float, repr(value), optional=True)
-        for name, value in asdict(make_profile("compute_bound", seed=0)).items()
+        for name, value in make_profile("compute_bound", seed=0)._asdict().items()
         if name not in ("kind", "seed")
     )),
     ("plant", tuple(
         _Key(f"plant.{name}", float, repr(value))
-        for name, value in vars(PlantParams()).items()
+        for name, value in PlantParams()._asdict().items()
     ) + (
         _Key("plant.counter_phase", float, "0.0   (unset: drawn from the seed)",
              optional=True, field_name="counter_phase_ms"),
@@ -147,13 +145,7 @@ def _section_text(heading: str, keys: tuple[_Key, ...]) -> str:
 DEFAULT_CONFIG_TEXT = "\n".join(_section_text(*section) for section in _SCHEMA)
 
 
-@dataclass
-class ExperimentConfig:
-    """One experiment's settings; each default comes from the schema table.
-
-    workload None stands for the default workload kind, drawn from seed.
-    """
-
+class _ConfigFields(NamedTuple):
     target_w: float = _DEFAULTS["target_w"]
     cycle_ms: int = _DEFAULTS["cycle_ms"]
     duration_ms: float = _DEFAULTS["duration_ms"]
@@ -161,7 +153,7 @@ class ExperimentConfig:
     omega_continuous: bool = _DEFAULTS["omega_continuous"]
     u0: float = _DEFAULTS["u0"]
     workload: WorkloadProfile | None = None
-    plant: PlantParams = field(default_factory=PlantParams)
+    plant: PlantParams = PlantParams()
     counter_phase_ms: float | None = None
     rls_forgetting: float = _DEFAULTS["rls_forgetting"]
     rls_p0: float = _DEFAULTS["rls_p0"]
@@ -172,10 +164,27 @@ class ExperimentConfig:
     seed: int = _DEFAULTS["seed"]
     out_path: str | None = None
 
-    def __post_init__(self) -> None:
+
+class ExperimentConfig(_ConfigFields):
+    """One experiment's settings, an immutable named tuple; each default
+    comes from the schema table, and `_replace` makes a changed copy.
+
+    workload None stands for the default workload kind, drawn from seed.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "ExperimentConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.workload is None:
-            self.workload = _check("workload", make_profile, _DEFAULTS["workload.kind"],
-                                   seed=self.seed)
+            self = self._replace(workload=_check(
+                "workload", make_profile, _DEFAULTS["workload.kind"], seed=self.seed))
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "ExperimentConfig":
+        # Route `_make` and `_replace` through the default workload too.
+        return cls(*iterable)
 
     def frequency_set(self) -> FrequencySet | FrequencyRange:
         """The ladder omega, or in continuous mode the range it spans."""
@@ -244,7 +253,7 @@ def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
         prev_energy = now_energy
 
         model = estimator.update(u, y)
-        a, b, c, d = model
+        a, b, c, d = estimator.coefficients
         deriv = model.derivative(u)
         err = tracking_error(target, y)
         a_gain = gain(deriv, floor)
@@ -306,45 +315,25 @@ def mean_frequency(trace: list[TraceRecord], from_ms: float = 0.0) -> float:
 
 # -- CSV --------------------------------------------------------------------
 
-CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+CSV_COLUMNS = TraceRecord._fields
 
 
-# One trace row, in CSV_COLUMNS order: "%.6g" gives the same text as
-# format(value, ".6g") for every float (signed zeros, infinities and nan
-# included), and no field needs CSV quoting. freq_ghz and target_w arrive as
-# text, from a _Text6g memo.
-_ROW = "%.6g,%s,%.6g,%s," + ",".join(["%.6g"] * 7) + ",%d\n"
-
-
-class _Text6g(dict):
-    """The "%.6g" text of each value looked up, formatted once per nonzero value."""
-
-    def __missing__(self, value: float) -> str:
-        text = "%.6g" % value
-        if value:
-            self[value] = text
-        return text
-
+# One trace row, formatted from a record's fields in CSV_COLUMNS order: "%.6g"
+# gives the same text as format(value, ".6g") for every float (signed zeros,
+# infinities and nan included), and no field needs CSV quoting.
+_ROW = ",".join(["%.6g"] * (len(CSV_COLUMNS) - 1)) + ",%d\n"
 
 _CHUNK_ROWS = 256  # trace rows per write call in write_csv
 
 
 def write_csv(trace: list[TraceRecord], path: str) -> None:
     """Write a trace to CSV: header plus one row per cycle, 6 significant digits."""
-    # On a ladder freq_ghz takes one of a few levels, and target_w takes one
-    # value per run, so their text comes from a memo; the other columns change
-    # by the cycle and are formatted on each row. The memo never stores a zero:
-    # 0.0 and -0.0 are one dict key, but print as "0" and "-0".
-    text = _Text6g()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         # One write per chunk: a write per row costs more per row, and joining
         # the whole trace first costs its size in memory.
         for i in range(0, len(trace), _CHUNK_ROWS):
-            fh.write("".join([_ROW % (r.t_ms, text[r.freq_ghz], r.power_w, text[r.target_w],
-                                      r.error_w, r.gain, r.coeff_a, r.coeff_b, r.coeff_c,
-                                      r.coeff_d, r.deriv_est, r.settled)
-                              for r in trace[i:i + _CHUNK_ROWS]]))
+            fh.write("".join([_ROW % r for r in trace[i:i + _CHUNK_ROWS]]))
 
 
 def read_csv(path: str) -> list[TraceRecord]:
@@ -405,11 +394,13 @@ def config_from_pairs(pairs: dict[str, str]) -> ExperimentConfig:
         part, _, name = (spec.field_name or key).rpartition(".")
         given[part][name] = _check(key, spec.parse, raw)
 
-    config = ExperimentConfig(plant=_check("plant", PlantParams, **given["plant"]), **given[""])
+    plant = _check("plant", PlantParams, **given["plant"])
     workload = given["workload"]
     if workload:
-        kind = workload.pop("kind", config.workload.kind)
-        config.workload = _check("workload", make_profile, kind, config.seed, **workload)
+        kind = workload.pop("kind", _DEFAULTS["workload.kind"])
+        seed = given[""].get("seed", _DEFAULTS["seed"])
+        given[""]["workload"] = _check("workload", make_profile, kind, seed, **workload)
+    config = ExperimentConfig(plant=plant, **given[""])
     config.validate()
     return config
 
@@ -420,8 +411,7 @@ SWEEP_KINDS = ("compute_bound", "graph_irregular", "memory_bound")
 SWEEP_CYCLES = (10, 30)
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     """One run's summary: a row of `sweep`'s table, and what `run` prints."""
 
     scenario: str
@@ -431,7 +421,7 @@ class SweepRow:
     mean_freq_ghz: float
 
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+SWEEP_COLUMNS = SweepRow._fields
 
 
 def summarize(trace: list[TraceRecord], config: ExperimentConfig) -> SweepRow:
@@ -458,8 +448,8 @@ def run_sweep(
     rows = []
     for kind in sorted(kinds):
         for cycle in sorted(cycles):
-            cfg = replace(base, cycle_ms=cycle,
-                          workload=make_profile(kind, seed=base.seed), out_path=None)
+            cfg = base._replace(cycle_ms=cycle,
+                                workload=make_profile(kind, seed=base.seed), out_path=None)
             rows.append(summarize(run_experiment(cfg), cfg))
     return rows
 

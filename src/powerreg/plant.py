@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
+from typing import Iterable, NamedTuple
 
 from .freqset import FrequencyRange, FrequencySet, check_frequency
 from .workload import WorkloadProfile
@@ -37,9 +37,19 @@ from .workload import WorkloadProfile
 _GRID_US = 1000
 
 
-@dataclass(frozen=True)
-class PlantParams:
-    """Physical parameters of the simulated processor.
+class _PlantFields(NamedTuple):
+    cap: float = 2.0
+    v0: float = 0.6
+    m: float = 0.2
+    sigma: float = 1.5
+    kappa: float = 0.005
+    t_amb: float = 40.0
+    r_th: float = 2.0
+    tau_th: float = 200.0
+
+
+class PlantParams(_PlantFields):
+    """Physical parameters of the simulated processor, an immutable named tuple.
 
     cap: effective switched capacitance, scaled so alpha*cap*V^2*phi is watts
       with V in volts and phi in GHz.
@@ -51,16 +61,10 @@ class PlantParams:
     tau_th: thermal time constant (ms).
     """
 
-    cap: float = 2.0
-    v0: float = 0.6
-    m: float = 0.2
-    sigma: float = 1.5
-    kappa: float = 0.005
-    t_amb: float = 40.0
-    r_th: float = 2.0
-    tau_th: float = 200.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: float, **kwargs: float) -> "PlantParams":
+        self = super().__new__(cls, *args, **kwargs)
         checks = [
             (self.cap > 0.0, "cap must be > 0"),
             (self.v0 > 0.0, "v0 must be > 0"),
@@ -73,9 +77,15 @@ class PlantParams:
         for ok, msg in checks:
             if not ok:
                 raise ValueError(msg)
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> "PlantParams":
+        # Route `_make` and `_replace` through the checks too.
+        return cls(*iterable)
 
 
 def _freq_coefficients(p: PlantParams, freq: float) -> tuple[float, float, float, float, float]:
@@ -108,6 +118,10 @@ class Plant:
         counter_phase_ms: float | None = None,
     ):
         self.params = params
+        # The fields the step reads at every advance and activity event, as
+        # attributes: a named tuple's fields read slower.
+        self._cap, self._r_th = params.cap, params.r_th
+        self._t_amb, self._tau = params.t_amb, params.tau_th
         self.profile = profile
         self.omega = omega
         check_frequency(u0, omega)
@@ -166,7 +180,7 @@ class Plant:
         # The last grid instant at or before end_us; earlier ones are
         # overwritten before anyone can read them.
         snap_us = end_us - (end_us - self._phase_us) % _GRID_US
-        t_amb, tau = self.params.t_amb, self.params.tau_th
+        t_amb, tau = self._t_amb, self._tau
         q, x_inf, g_tau, beta, nbeta = self._step
         while clock < end_us:
             stop_us = snap_us if clock < snap_us else end_us
@@ -190,10 +204,9 @@ class Plant:
 
     def _step_coefficients(self) -> tuple[float, float, float, float, float]:
         """(q, x_inf, g*tau, beta, -beta) at the current operating point."""
-        p, freq = self.params, self.freq
         v, sv, g_tau, beta, nbeta = self._freq_part
-        q = self.alpha * p.cap * v * v * freq + sv
-        return q, p.r_th * q / beta, g_tau, beta, nbeta
+        q = self.alpha * self._cap * v * v * self.freq + sv
+        return q, self._r_th * q / beta, g_tau, beta, nbeta
 
     def _sample_alpha(self, now: int) -> None:
         """Sample alpha at time now, us, update the step coefficients and

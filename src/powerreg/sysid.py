@@ -81,7 +81,8 @@ class RlsEstimator:
 
     forgetting is the exponential down-weighting factor in (0, 1]; 1 means
     ordinary least squares. p0 scales the initial covariance: large values
-    make the first measurements dominate the prior.
+    make the first measurements dominate the prior. `model` is the current
+    CubicModel, and `coefficients` the same four numbers as a plain tuple.
     """
 
     def __init__(self, forgetting: float, p0: float, x0: CubicModel | None = None):
@@ -91,6 +92,8 @@ class RlsEstimator:
             raise ValueError("p0 must be positive")
         self.forgetting = forgetting
         self.model = x0 or CubicModel()
+        # A plain tuple unpacks faster than the named tuple.
+        self.coefficients = tuple(self.model)
         # Upper triangle of P, row by row: p00 p01 p02 p03 p11 p12 p13 p22 p23 p33.
         self._p = (p0, 0.0, 0.0, 0.0, p0, 0.0, 0.0, p0, 0.0, p0)
         self.sample_count = 0
@@ -129,7 +132,7 @@ class RlsEstimator:
             raise ValueError(
                 f"RLS covariance is degenerate: lambda + h'Ph = {den!r} at {phi} GHz")
         k0, k1, k2, k3 = g0 / den, g1 / den, g2 / den, g3 / den
-        ma, mb, mc, md = self.model
+        ma, mb, mc, md = self.coefficients
         e = power - (h3 * ma + h2 * mb + phi * mc + md)
         a, b, c, d = ma + k0 * e, mb + k1 * e, mc + k2 * e, md + k3 * e
         # A float sum is finite only if every term is, so one test covers all
@@ -137,8 +140,9 @@ class RlsEstimator:
         # still sum past the float range, and then it finds none.
         if not math.isfinite(a + b + c + d):
             _check_coefficients(a, b, c, d)
+        self.coefficients = x = a, b, c, d
         # Checked just above, so the model skips CubicModel.__new__'s check.
-        self.model = tuple.__new__(CubicModel, (a, b, c, d))
+        self.model = tuple.__new__(CubicModel, x)
         self._p = ((p00 - k0 * g0) / lam, (p01 - k0 * g1) / lam,
                    (p02 - k0 * g2) / lam, (p03 - k0 * g3) / lam,
                    (p11 - k1 * g1) / lam, (p12 - k1 * g2) / lam,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from operator import attrgetter
 
 # Preset knobs per profile kind. These are calibration values chosen so the
 # kinds reproduce the expected ordering of workload variability
@@ -86,59 +86,88 @@ class _Renewal:
             self.start, self.end, self.index, self.value = start, end, i, value
 
 
-@dataclass(frozen=True)
+_FIELDS = ("kind", "alpha_mean", "alpha_jitter", "switch_period_ms",
+           "stall_fraction", "stall_alpha_scale", "seed")
+_field_values = attrgetter(*_FIELDS)
+
+
 class WorkloadProfile:
     """Parameters of one synthetic activity process.
 
     alpha_mean is the center of the level process; alpha_jitter its relative
     amplitude; stall_fraction the long-run fraction of time spent stalled,
     during which activity is multiplied by stall_alpha_scale. The profile is
-    frozen, so the processes built from these fields at construction stay
-    in step with them.
+    immutable, so the processes built from these fields at construction stay
+    in step with them; `_replace` builds a new profile. Equality, hashing and
+    repr go by the fields, as for a named tuple. The fields are slots: the
+    profile reads them at every activity event, and a slot reads faster
+    than a named tuple field.
     """
 
-    kind: str
-    alpha_mean: float = 1.0
-    alpha_jitter: float = 0.0
-    switch_period_ms: float = 40.0
-    stall_fraction: float = 0.0
-    stall_alpha_scale: float = 1.0
-    seed: int = 0
+    _fields = _FIELDS
+    __slots__ = _FIELDS + ("_levels", "_stalls", "_last")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown workload kind {self.kind!r}; expected one of {KINDS}")
+    def __init__(self, kind: str, alpha_mean: float = 1.0, alpha_jitter: float = 0.0,
+                 switch_period_ms: float = 40.0, stall_fraction: float = 0.0,
+                 stall_alpha_scale: float = 1.0, seed: int = 0):
+        values = (kind, alpha_mean, alpha_jitter, switch_period_ms, stall_fraction,
+                  stall_alpha_scale, seed)
+        if kind not in KINDS:
+            raise ValueError(f"unknown workload kind {kind!r}; expected one of {KINDS}")
         # The streams are keyed by str(seed): True would key other streams than 1.
-        if type(self.seed) is not int:
-            raise ValueError(f"seed must be an int, got {self.seed!r}")
-        for name in ("alpha_mean", "alpha_jitter", "switch_period_ms",
-                     "stall_fraction", "stall_alpha_scale"):
-            if not math.isfinite(getattr(self, name)):
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
+        for name, value in zip(_FIELDS[1:-1], values[1:-1]):  # the floats
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.alpha_mean <= 0.0:
+        if alpha_mean <= 0.0:
             raise ValueError("alpha_mean must be positive")
-        if not 0.0 <= self.alpha_jitter < 1.0:
+        if not 0.0 <= alpha_jitter < 1.0:
             raise ValueError("alpha_jitter must be in [0, 1)")
-        if self.switch_period_ms <= 0.0:
+        if switch_period_ms <= 0.0:
             raise ValueError("switch_period_ms must be positive")
-        if not 0.0 <= self.stall_fraction < 1.0:
+        if not 0.0 <= stall_fraction < 1.0:
             raise ValueError("stall_fraction must be in [0, 1)")
-        if not 0.0 < self.stall_alpha_scale <= 1.0:
+        if not 0.0 < stall_alpha_scale <= 1.0:
             raise ValueError("stall_alpha_scale must be in (0, 1]")
         # The level and stall processes, each None when it cannot change alpha.
         levels = stalls = None
-        if self.alpha_jitter > 0.0:
-            levels = _Renewal(f"{self.seed}:levels", (self.switch_period_ms,))
-        if self.stall_fraction > 0.0 and self.stall_alpha_scale < 1.0:
+        if alpha_jitter > 0.0:
+            levels = _Renewal(f"{seed}:levels", (switch_period_ms,))
+        if stall_fraction > 0.0 and stall_alpha_scale < 1.0:
             # Alternating busy/stall dwells; the stall cycle runs faster than
             # the level process so stalls flicker within a level dwell.
-            cycle = self.switch_period_ms / 2.0
-            busy_mean = (1.0 - self.stall_fraction) * cycle
-            stall_mean = self.stall_fraction * cycle
-            stalls = _Renewal(f"{self.seed}:stalls", (busy_mean, stall_mean))
-        object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_stalls", stalls)
-        object.__setattr__(self, "_last", [None] * 3)  # [t, alpha, next change], set in place
+            cycle = switch_period_ms / 2.0
+            busy_mean = (1.0 - stall_fraction) * cycle
+            stall_mean = stall_fraction * cycle
+            stalls = _Renewal(f"{seed}:stalls", (busy_mean, stall_mean))
+        # _last is [t, alpha, next change] of the last query, set in place.
+        for name, value in zip(self.__slots__, values + (levels, stalls, [None] * 3)):
+            object.__setattr__(self, name, value)  # once: __setattr__ refuses
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    def __hash__(self) -> int:
+        return hash(_field_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"WorkloadProfile({fields})"
+
+    def __reduce__(self):
+        return WorkloadProfile, _field_values(self)
+
+    def _asdict(self) -> dict[str, object]:
+        return dict(zip(_FIELDS, _field_values(self)))
+
+    def _replace(self, /, **changes: object) -> "WorkloadProfile":
+        return WorkloadProfile(**{**self._asdict(), **changes})
 
     def _at(self, t_ms: float) -> list:
         """Cache [t_ms, alpha, next change]; walk only processes not covering t_ms."""

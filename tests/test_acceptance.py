@@ -4,7 +4,6 @@ tolerance and prints a PASS/FAIL line (visible under pytest -s)."""
 import random
 import statistics
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,7 +192,7 @@ def test_static_power_share():
     start = plant.read_energy()
     plant.advance(1000.0)
     p_total = plant.read_energy() - start  # joules over 1 s
-    share = 1.0 - steady_power(replace(params, sigma=0.0), plant.alpha, 2.0) / p_total
+    share = 1.0 - steady_power(params._replace(sigma=0.0), plant.alpha, 2.0) / p_total
     ref_share = static_share(params, plant.alpha, 2.0)
     ok = (0.20 <= share <= 0.30
           and share == pytest.approx(ref_share, rel=1e-6)

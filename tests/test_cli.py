@@ -145,13 +145,15 @@ class TestSweep:
 def test_import_path_loads_no_numpy(tmp_path):
     # With numpy blocked, any import of it raises: run, sweep and defaults
     # still print their pinned output. Nor do they load statistics, which
-    # would pull in fractions, decimal and numbers on every run.
+    # would pull in fractions, decimal and numbers on every run, or
+    # dataclasses, which would pull in inspect, ast, dis and tokenize.
     src = os.path.dirname(os.path.dirname(powerreg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for command in STDOUT_DIGESTS:
         probe = ("import sys; sys.modules['numpy'] = None; from powerreg.cli import main; "
                  f"code = main([{command!r}]); "
-                 "print(sorted({'statistics', 'fractions', 'decimal', 'numbers'} "
+                 "print(sorted({'statistics', 'fractions', 'decimal', 'numbers', "
+                 "'dataclasses', 'inspect'} "
                  "& set(sys.modules)), file=sys.stderr); raise SystemExit(code)")
         proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
                               capture_output=True, text=True)

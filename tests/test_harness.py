@@ -2,12 +2,11 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from powerreg.freqset import DEFAULT_LEVELS, FrequencyRange
+from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA, FrequencyRange
 from powerreg.harness import (
     _CHUNK_ROWS,
     _KEYS,
@@ -30,6 +29,7 @@ from powerreg.harness import (
     write_csv,
     write_sweep_csv,
 )
+from powerreg.plant import PlantParams
 from powerreg.workload import KINDS, make_profile
 
 
@@ -184,6 +184,29 @@ class TestParseConfig:
             ExperimentConfig(**changes).validate()
 
 
+@pytest.mark.parametrize("record, changes, error", [
+    pytest.param(PlantParams(), dict(cap=-1.0), "cap must be > 0", id="PlantParams"),
+    pytest.param(make_profile("memory_bound", seed=3), dict(stall_fraction=1.0),
+                 r"stall_fraction must be in \[0, 1\)", id="WorkloadProfile"),
+    pytest.param(DEFAULT_OMEGA, dict(levels=(2.0, 1.0)), "strictly increasing",
+                 id="FrequencySet"),
+    pytest.param(FrequencyRange(1.0, 2.0), dict(min_level=3.0), "min <= max",
+                 id="FrequencyRange"),
+    pytest.param(ExperimentConfig(), dict(workload=None, seed=True),
+                 "workload: seed must be an int", id="ExperimentConfig"),
+])
+def test_config_parts_are_immutable_values(record, changes, error):
+    # Equal and hashable by their fields; no field can be assigned; and
+    # `_replace` makes a copy through the same checks as the constructor.
+    twin = type(record)(**record._asdict())
+    assert twin == record and twin is not record and hash(twin) == hash(record)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(ValueError, match=error):
+        record._replace(**changes)
+
+
 class TestRunExperiment:
     def test_time_advances_by_cycle(self):
         cfg = parse_config("duration_ms=300\ncycle_ms=30")
@@ -229,7 +252,7 @@ class TestRunExperiment:
 
     def test_invalid_config_fails_before_simulation(self):
         cfg = parse_config("")
-        bad = replace(cfg, cycle_ms=0)
+        bad = cfg._replace(cycle_ms=0)
         with pytest.raises(ConfigError):
             run_experiment(bad)
 
@@ -423,7 +446,7 @@ class TestSweep:
     def test_row_is_the_run_summary(self):
         base = parse_config("duration_ms=600\nseed=4")
         [row] = run_sweep(base, kinds=("graph_irregular",), cycles=(30,))
-        cfg = replace(base, cycle_ms=30, workload=make_profile("graph_irregular", seed=4))
+        cfg = base._replace(cycle_ms=30, workload=make_profile("graph_irregular", seed=4))
         assert row == summarize(run_experiment(cfg), cfg)
 
     def test_sweep_is_deterministic(self):

@@ -11,21 +11,24 @@ import math
 from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
+from ._record import Checked
+
 
 class _Levels(NamedTuple):
     levels: tuple[float, ...]
 
 
-class FrequencySet(_Levels):
+class FrequencySet(Checked, _Levels):
     """Finite ordered set of legal clock frequencies, in GHz.
 
-    Levels are strictly increasing and positive. Instances are immutable and
-    safe to share.
+    A named tuple of one field, `levels`, strictly increasing and positive.
+    Instances are immutable and safe to share.
     """
 
     __slots__ = ()
 
-    def __new__(cls, levels: tuple[float, ...]) -> "FrequencySet":
+    def __new__(cls, levels: Iterable[float]) -> "FrequencySet":
+        levels = tuple(levels)
         if not levels:
             raise ValueError("frequency set must not be empty")
         for v in levels:
@@ -36,30 +39,9 @@ class FrequencySet(_Levels):
         return tuple.__new__(cls, (levels,))
 
     @classmethod
-    def _make(cls, iterable: Iterable[tuple[float, ...]]) -> "FrequencySet":
-        return cls(*iterable)
-
-    # Iterating a set yields its levels, not its one field, so the named
-    # tuple methods that iterate their fields are restated on the field.
-    def _replace(self, /, **changes: tuple[float, ...]) -> "FrequencySet":
-        return FrequencySet(**{"levels": self.levels, **changes})
-
-    def _asdict(self) -> dict[str, tuple[float, ...]]:
-        return {"levels": self.levels}
-
-    def __getnewargs__(self) -> tuple[tuple[float, ...]]:
-        return (self.levels,)
-
-    @classmethod
     def from_list(cls, values: Iterable[float]) -> "FrequencySet":
         """Build a set from raw values: sorted ascending, duplicates dropped."""
-        return cls(tuple(sorted({float(v) for v in values})))
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __iter__(self):
-        return iter(self.levels)
+        return cls(sorted({float(v) for v in values}))
 
     def __contains__(self, value: float) -> bool:
         return value in self.levels
@@ -96,7 +78,7 @@ class _Bounds(NamedTuple):
     max_level: float
 
 
-class FrequencyRange(_Bounds):
+class FrequencyRange(Checked, _Bounds):
     """Closed interval [min_level, max_level] of legal frequencies, in GHz.
 
     The actuator range of continuous-frequency operation: any frequency in
@@ -113,10 +95,6 @@ class FrequencyRange(_Bounds):
                 f"frequency range must be finite and positive with min <= max, "
                 f"got [{lo!r}, {hi!r}]")
         return tuple.__new__(cls, (lo, hi))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[float]) -> "FrequencyRange":
-        return cls(*iterable)
 
     def __contains__(self, value: float) -> bool:
         return self.min_level <= value <= self.max_level

@@ -17,8 +17,9 @@ from __future__ import annotations
 import csv
 import math
 import re
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
+from ._record import Checked
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
 from .freqset import DEFAULT_LEVELS, FrequencyRange, FrequencySet, check_frequency
 from .plant import Plant, PlantParams
@@ -165,7 +166,7 @@ class _ConfigFields(NamedTuple):
     out_path: str | None = None
 
 
-class ExperimentConfig(_ConfigFields):
+class ExperimentConfig(Checked, _ConfigFields):
     """One experiment's settings, an immutable named tuple; each default
     comes from the schema table, and `_replace` makes a changed copy.
 
@@ -180,11 +181,6 @@ class ExperimentConfig(_ConfigFields):
             self = self._replace(workload=_check(
                 "workload", make_profile, _DEFAULTS["workload.kind"], seed=self.seed))
         return self
-
-    @classmethod
-    def _make(cls, iterable: Iterable[object]) -> "ExperimentConfig":
-        # Route `_make` and `_replace` through the default workload too.
-        return cls(*iterable)
 
     def frequency_set(self) -> FrequencySet | FrequencyRange:
         """The ladder omega, or in continuous mode the range it spans."""

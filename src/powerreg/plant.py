@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
+from ._record import Checked
 from .freqset import FrequencyRange, FrequencySet, check_frequency
 from .workload import WorkloadProfile
 
@@ -48,7 +49,7 @@ class _PlantFields(NamedTuple):
     tau_th: float = 200.0
 
 
-class PlantParams(_PlantFields):
+class PlantParams(Checked, _PlantFields):
     """Physical parameters of the simulated processor, an immutable named tuple.
 
     cap: effective switched capacitance, scaled so alpha*cap*V^2*phi is watts
@@ -81,11 +82,6 @@ class PlantParams(_PlantFields):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         return self
-
-    @classmethod
-    def _make(cls, iterable: Iterable[float]) -> "PlantParams":
-        # Route `_make` and `_replace` through the checks too.
-        return cls(*iterable)
 
 
 def _freq_coefficients(p: PlantParams, freq: float) -> tuple[float, float, float, float, float]:

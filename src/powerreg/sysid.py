@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
+from ._record import Checked
+
 
 def _check_coefficients(a: float, b: float, c: float, d: float) -> None:
     """Raise a ValueError naming the first coefficient that is not finite."""
@@ -38,7 +40,7 @@ class _Coefficients(NamedTuple):
     d: float
 
 
-class CubicModel(_Coefficients):
+class CubicModel(Checked, _Coefficients):
     """Coefficients of the cubic power model, highest degree first.
 
     An immutable named tuple whose coefficients are all finite: it is
@@ -52,11 +54,6 @@ class CubicModel(_Coefficients):
                 d: float = 0.0) -> "CubicModel":
         _check_coefficients(a, b, c, d)
         return tuple.__new__(cls, (a, b, c, d))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[float]) -> "CubicModel":
-        # Route `_make` and `_replace` through the finiteness check too.
-        return cls(*iterable)
 
     def predict(self, phi: float) -> float:
         """Model power at frequency phi, watts."""

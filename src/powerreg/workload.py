@@ -124,8 +124,9 @@ class WorkloadProfile:
             raise ValueError("alpha_mean must be positive")
         if not 0.0 <= alpha_jitter < 1.0:
             raise ValueError("alpha_jitter must be in [0, 1)")
-        if switch_period_ms <= 0.0:
-            raise ValueError("switch_period_ms must be positive")
+        # A renewal walk draws about 1/switch_period_ms intervals per ms.
+        if switch_period_ms < 0.001:
+            raise ValueError("switch_period_ms must be at least 0.001 (the plant's 1 us step)")
         if not 0.0 <= stall_fraction < 1.0:
             raise ValueError("stall_fraction must be in [0, 1)")
         if not 0.0 < stall_alpha_scale <= 1.0:

@@ -17,7 +17,7 @@ from powerreg.oracles import nearest_level_brute
 class TestFromList:
     def test_default_ladder_has_16_levels(self):
         fs = FrequencySet.from_list(DEFAULT_LEVELS)
-        assert len(fs) == 16
+        assert len(fs.levels) == 16
         assert fs.levels == DEFAULT_LEVELS
 
     def test_singleton(self):
@@ -36,6 +36,10 @@ class TestFromList:
     def test_rejects_non_increasing_direct_construction(self):
         with pytest.raises(ValueError):
             FrequencySet((2.0, 1.0))
+
+    def test_direct_construction_from_a_list_stores_a_tuple(self):
+        fs = FrequencySet([1.0, 2.0])
+        assert fs == FrequencySet((1.0, 2.0)) and hash(fs) == hash(FrequencySet((1.0, 2.0)))
 
 
 class TestProject:
@@ -63,7 +67,7 @@ class TestProject:
             DEFAULT_OMEGA.project(bad)
 
     def test_members_project_to_themselves(self):
-        for v in DEFAULT_OMEGA:
+        for v in DEFAULT_OMEGA.levels:
             assert DEFAULT_OMEGA.project(v) == v
 
     def test_random_inputs_agree_with_brute_force(self):
@@ -74,7 +78,7 @@ class TestProject:
             assert got in DEFAULT_OMEGA
             assert got == nearest_level_brute(DEFAULT_LEVELS, u)
             # no member is closer, and projection is idempotent
-            assert all(abs(got - u) <= abs(v - u) for v in DEFAULT_OMEGA)
+            assert all(abs(got - u) <= abs(v - u) for v in DEFAULT_OMEGA.levels)
             assert DEFAULT_OMEGA.project(got) == got
 
     def test_random_ladders(self):

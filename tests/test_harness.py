@@ -1,7 +1,9 @@
+import copy
 import csv
 import hashlib
 import io
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -136,6 +138,7 @@ class TestParseConfig:
         ("plant.counter_phase=1.5", "counter_phase"),
         ("duration_ms=5\ncycle_ms=10", "duration_ms"),
         ("omega_continuous=maybe", "omega_continuous"),
+        ("workload.switch_period_ms=1e-7", "switch_period_ms"),
         *non_finite_rows(),
     ])
     def test_invalid_values_name_the_key(self, text, key):
@@ -196,10 +199,13 @@ class TestParseConfig:
                  "workload: seed must be an int", id="ExperimentConfig"),
 ])
 def test_config_parts_are_immutable_values(record, changes, error):
-    # Equal and hashable by their fields; no field can be assigned; and
-    # `_replace` makes a copy through the same checks as the constructor.
+    # Equal and hashable by their fields; pickled and deep-copied to the same
+    # type and value; no field can be assigned; and `_replace` makes a copy
+    # through the same checks as the constructor.
     twin = type(record)(**record._asdict())
     assert twin == record and twin is not record and hash(twin) == hash(record)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is type(record) and copied == record
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))

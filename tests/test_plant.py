@@ -411,7 +411,7 @@ class TestCubicGroundTruth:
         for alpha in (0.85, 0.425):
             profile = constant_profile(alpha=alpha)
             est = RlsEstimator(forgetting=1.0, p0=1e9)
-            for phi in DEFAULT_OMEGA:
+            for phi in DEFAULT_OMEGA.levels:
                 plant = Plant(params, profile, u0=phi, omega=DEFAULT_OMEGA,
                               counter_phase_ms=0.0)
                 plant.advance(10.0)

@@ -74,7 +74,7 @@ class TestMakeProfile:
         dict(alpha_jitter=-0.1), dict(switch_period_ms=0.0),
         dict(stall_fraction=1.0), dict(stall_alpha_scale=0.0),
         dict(stall_alpha_scale=1.5), dict(alpha_mean=float("nan")),
-        dict(seed=True), dict(seed=1.0),
+        dict(seed=True), dict(seed=1.0), dict(switch_period_ms=1e-7),
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):

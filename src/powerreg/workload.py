@@ -7,20 +7,21 @@ busy/stall renewal where stalls scale activity down, mimicking cores waiting
 on memory. Profiles for compute-heavy, memory-heavy, and irregular
 graph-processing programs differ in jitter, stall fraction, and dwell time.
 
-Each process draws from one random stream, seeded once from the profile's
-seed and the process name ("<seed>:levels", "<seed>:stalls"). Intervals are
-drawn in index order, each taking two draws, dwell then value, so interval i
-always gets draws 2i and 2i+1 of its stream. Sampling is therefore a pure
-function of (profile, t): trajectories do not depend on the order in which
-the caller asks for times. A profile builds its level and stall processes
-once, at construction, and leaves out each one that cannot change alpha.
-Each process keeps only its current interval and walks forward from it, so
-a profile's memory does not grow with simulated time. A query earlier than
-the current interval replays the stream from its start: two consumers that
-advance in lockstep should each have their own profile. A query walks only
-a process whose interval does not cover its time: at an activity change,
-the one whose interval ended. Alpha and the next change are cached for the
-last time asked, so the plant's second question at that time costs a compare.
+Each process draws from one random stream, seeded from the profile's seed
+and the process name ("<seed>:levels", "<seed>:stalls"). Intervals are drawn
+in index order, each taking two draws, dwell then value, so interval i always
+gets draws 2i and 2i+1 of its stream. Sampling is therefore a pure function
+of (profile, t): trajectories do not depend on the order in which the caller
+asks for times.
+
+One generator merges the two processes, leaving out each one that cannot
+change alpha, into alpha's constant segments (start, end, alpha). A profile
+keeps only the generator and its current segment, so its memory does not
+grow with simulated time, and answers both of the plant's questions at an
+activity change, alpha and the next change, from that segment. A query past
+the segment pulls the generator forward. A query before it replays the
+streams from t = 0 in a fresh generator, so two consumers that advance in
+lockstep should each have their own profile.
 """
 
 from __future__ import annotations
@@ -52,38 +53,40 @@ _PRESETS: dict[str, dict[str, float]] = {
 KINDS = (*_PRESETS, "constant")
 
 
-class _Renewal:
-    """Renewal sequence drawn forward from one random stream.
+def _segments(alpha_mean: float, alpha_jitter: float, switch_period_ms: float,
+              stall_fraction: float, stall_alpha_scale: float, seed: int):
+    """Yield (start, end, alpha) for alpha's constant segments, in time order.
 
-    Interval i spans [start, end); its dwell is exponential with mean
-    means[i % len(means)], and it carries a value draw in [0, 1). Only the
-    current interval is kept, in start, end, index and value; a query before
-    it re-seeds the stream from key and draws again from interval 0.
+    Merges the level and stall renewal sequences: a segment ends where the
+    current interval of either ends. Interval i of a sequence takes draws 2i
+    (its dwell, exponential with the sequence's mean for i) and 2i+1 (its
+    value) of the sequence's stream. A sequence that cannot change alpha is
+    one interval that never ends. A segment may be empty, where a dwell is 0.
     """
-
-    def __init__(self, key: str, means: tuple[float, ...]):
-        self._key = key
-        self._means = means
-        self._rewind()
-
-    def _rewind(self) -> None:
-        self._rng = random.Random(self._key)
-        self.start = self.end = 0.0
-        self.index, self.value = -1, 0.0
-
-    def locate(self, t: float) -> None:
-        """Make the interval that covers time t the current one."""
-        if t < self.start:
-            self._rewind()
-        i, end = self.index, self.end
-        if end <= t:
-            rng, means = self._rng, self._means
-            while end <= t:
-                i += 1
-                start = end
-                end = start - means[i % len(means)] * math.log1p(-rng.random())
-                value = rng.random()
-            self.start, self.end, self.index, self.value = start, end, i, value
+    log1p = math.log1p
+    level, stalled = alpha_mean, False
+    lv_end = st_end = math.inf
+    if alpha_jitter > 0.0:
+        lv_draw, lv_end = random.Random(f"{seed}:levels").random, 0.0
+    if stall_fraction > 0.0 and stall_alpha_scale < 1.0:
+        # Alternating busy/stall dwells; the stall cycle runs faster than
+        # the level process so stalls flicker within a level dwell.
+        cycle = switch_period_ms / 2.0
+        means = ((1.0 - stall_fraction) * cycle, stall_fraction * cycle)
+        st_draw, st_end = random.Random(f"{seed}:stalls").random, 0.0
+        stalled = True  # toggled as interval 0, which is busy, is drawn
+    start = 0.0
+    while True:
+        if lv_end <= start:
+            lv_end -= switch_period_ms * log1p(-lv_draw())
+            level = alpha_mean * (1.0 + alpha_jitter * (2.0 * lv_draw() - 1.0))
+        if st_end <= start:
+            stalled = not stalled
+            st_end -= means[stalled] * log1p(-st_draw())
+            st_draw()  # the interval's value, which a stall does not use
+        end = lv_end if lv_end < st_end else st_end
+        yield start, end, level * stall_alpha_scale if stalled else level
+        start = end
 
 
 _FIELDS = ("kind", "alpha_mean", "alpha_jitter", "switch_period_ms",
@@ -97,7 +100,7 @@ class WorkloadProfile:
     alpha_mean is the center of the level process; alpha_jitter its relative
     amplitude; stall_fraction the long-run fraction of time spent stalled,
     during which activity is multiplied by stall_alpha_scale. The profile is
-    immutable, so the processes built from these fields at construction stay
+    immutable, so the walk started from these fields at construction stays
     in step with them; `_replace` builds a new profile. Equality, hashing and
     repr go by the fields, as for a named tuple. The fields are slots: the
     profile reads them at every activity event, and a slot reads faster
@@ -105,7 +108,7 @@ class WorkloadProfile:
     """
 
     _fields = _FIELDS
-    __slots__ = _FIELDS + ("_levels", "_stalls", "_last")
+    __slots__ = _FIELDS + ("_walk", "_seg")
 
     def __init__(self, kind: str, alpha_mean: float = 1.0, alpha_jitter: float = 0.0,
                  switch_period_ms: float = 40.0, stall_fraction: float = 0.0,
@@ -131,19 +134,15 @@ class WorkloadProfile:
             raise ValueError("stall_fraction must be in [0, 1)")
         if not 0.0 < stall_alpha_scale <= 1.0:
             raise ValueError("stall_alpha_scale must be in (0, 1]")
-        # The level and stall processes, each None when it cannot change alpha.
-        levels = stalls = None
-        if alpha_jitter > 0.0:
-            levels = _Renewal(f"{seed}:levels", (switch_period_ms,))
-        if stall_fraction > 0.0 and stall_alpha_scale < 1.0:
-            # Alternating busy/stall dwells; the stall cycle runs faster than
-            # the level process so stalls flicker within a level dwell.
-            cycle = switch_period_ms / 2.0
-            busy_mean = (1.0 - stall_fraction) * cycle
-            stall_mean = stall_fraction * cycle
-            stalls = _Renewal(f"{seed}:stalls", (busy_mean, stall_mean))
-        # _last is [t, alpha, next change] of the last query, set in place.
-        for name, value in zip(self.__slots__, values + (levels, stalls, [None] * 3)):
+        # The plant reads alpha at most once per us, so it would skip shorter dwells.
+        if stall_fraction > 0.0 and (
+                min(stall_fraction, 1.0 - stall_fraction) * (switch_period_ms / 2.0) < 0.001):
+            raise ValueError("switch_period_ms and stall_fraction must give mean busy and "
+                             "stall dwells of at least 0.001 ms (the plant's 1 us step)")
+        # The walk and its first segment, [start, end, alpha], copied into a
+        # list that each later segment overwrites.
+        walk = _segments(*values[1:])
+        for name, value in zip(self.__slots__, values + (walk, [*next(walk)])):
             object.__setattr__(self, name, value)  # once: __setattr__ refuses
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -170,32 +169,23 @@ class WorkloadProfile:
     def _replace(self, /, **changes: object) -> "WorkloadProfile":
         return WorkloadProfile(**{**self._asdict(), **changes})
 
-    def _at(self, t_ms: float) -> list:
-        """Cache [t_ms, alpha, next change]; walk only processes not covering t_ms."""
+    def _seek(self, t_ms: float) -> None:
+        """Make the cached segment the one that covers t_ms."""
         if not 0.0 <= t_ms < math.inf:
             raise ValueError(f"time must be finite and non-negative, got {t_ms!r}")
-        alpha, nxt = self.alpha_mean, math.inf
-        levels, stalls = self._levels, self._stalls
-        if levels is not None:
-            if not levels.start <= t_ms < levels.end:
-                levels.locate(t_ms)
-            alpha *= 1.0 + self.alpha_jitter * (2.0 * levels.value - 1.0)
-            nxt = levels.end
-        if stalls is not None:
-            if not stalls.start <= t_ms < stalls.end:
-                stalls.locate(t_ms)
-            if stalls.index % 2 == 1:
-                alpha *= self.stall_alpha_scale
-            if stalls.end < nxt:
-                nxt = stalls.end
-        last = self._last
-        last[:] = t_ms, alpha, nxt
-        return last
+        seg = self._seg
+        if t_ms < seg[0]:  # replay the streams from t = 0
+            object.__setattr__(self, "_walk", _segments(*_field_values(self)[1:]))
+        for seg[:] in self._walk:
+            if t_ms < seg[1]:
+                return
 
     def sample_alpha(self, t_ms: float) -> float:
         """Activity factor at time t_ms; pure function of (profile, t_ms)."""
-        last = self._last
-        return (last if last[0] == t_ms else self._at(t_ms))[1]
+        seg = self._seg
+        if not seg[0] <= t_ms < seg[1]:
+            self._seek(t_ms)
+        return seg[2]
 
     def next_change_ms(self, t_ms: float) -> float:
         """Earliest time strictly after t_ms at which alpha may change.
@@ -203,8 +193,10 @@ class WorkloadProfile:
         Returns inf for a constant profile. Used by the plant to integrate
         alpha exactly as a piecewise-constant signal.
         """
-        last = self._last
-        return (last if last[0] == t_ms else self._at(t_ms))[2]
+        seg = self._seg
+        if not seg[0] <= t_ms < seg[1]:
+            self._seek(t_ms)
+        return seg[1]
 
 
 def make_profile(kind: str, seed: int, **overrides: float) -> WorkloadProfile:

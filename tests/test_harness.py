@@ -139,6 +139,8 @@ class TestParseConfig:
         ("duration_ms=5\ncycle_ms=10", "duration_ms"),
         ("omega_continuous=maybe", "omega_continuous"),
         ("workload.switch_period_ms=1e-7", "switch_period_ms"),
+        ("workload.kind=memory_bound\nworkload.switch_period_ms=0.004", "switch_period_ms"),
+        ("workload.kind=memory_bound\nworkload.stall_fraction=0.99995", "stall_fraction"),
         *non_finite_rows(),
     ])
     def test_invalid_values_name_the_key(self, text, key):

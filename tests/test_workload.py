@@ -1,5 +1,7 @@
 import bisect
+import copy
 import math
+import pickle
 import random
 import statistics
 import tracemalloc
@@ -45,6 +47,15 @@ def reference_profile(p, n):
     return at, lv_b, st_b
 
 
+def walk(p, t, until_ms):
+    """Walk p as the plant does, alpha then the next change at each change
+    time, from t to the first change at or past until_ms; return that time."""
+    while t < until_ms:
+        p.sample_alpha(t)
+        t = p.next_change_ms(t)
+    return t
+
+
 class TestMakeProfile:
     def test_constant_is_flat(self):
         p = make_profile("constant", seed=3)
@@ -75,6 +86,8 @@ class TestMakeProfile:
         dict(stall_fraction=1.0), dict(stall_alpha_scale=0.0),
         dict(stall_alpha_scale=1.5), dict(alpha_mean=float("nan")),
         dict(seed=True), dict(seed=1.0), dict(switch_period_ms=1e-7),
+        # mean stall dwell 0.35 * 0.002 and mean busy dwell 0.00005 * 15 ms
+        dict(switch_period_ms=0.004), dict(stall_fraction=0.99995),
     ])
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -188,6 +201,59 @@ class TestNextChange:
             bounds.append(p.next_change_ms(bounds[-1]))
         dwells = [b - a for a, b in zip(bounds, bounds[1:])]
         assert statistics.fmean(dwells) == pytest.approx(20.0, rel=0.1)
+
+
+@pytest.fixture
+def seedings(monkeypatch):
+    """The keys of the random streams seeded from now on: powerreg.workload
+    seeds one per level or stall process each time it starts a walk."""
+    keys = []
+
+    class Counted(random.Random):
+        def __init__(self, key):
+            keys.append(key)
+            super().__init__(key)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    return keys
+
+
+class TestWalkState:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_copies_answer_as_fresh_profiles(self, kind, seedings):
+        # A generator does not pickle, and a copy sharing the walk would have
+        # to replay it to answer at t = 0 while the original walks on.
+        p = make_profile(kind, seed=8)
+        t = walk(p, 0.0, 10_000.0)
+        for c in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), p._replace()):
+            assert c == p
+            fresh = make_profile(kind, seed=8)
+            seedings.clear()
+            c_t = 0.0
+            while c_t < 1_000.0:
+                assert (c.sample_alpha(c_t), c.next_change_ms(c_t)) == (
+                    fresh.sample_alpha(c_t), fresh.next_change_ms(c_t))
+                c_t = c.next_change_ms(c_t)
+                t = walk(p, t, t + 1.0)  # the original walks on meanwhile
+            assert seedings == []
+
+    def test_backward_query_replays_only_before_the_segment(self, seedings):
+        p = make_profile("graph_irregular", seed=3)
+        assert seedings == ["3:levels", "3:stalls"]
+        start = walk(p, 0.0, 1_000.0)
+        end = p.next_change_ms(start)
+        mid = (start + end) / 2.0
+        expected = [(p.sample_alpha(u), p.next_change_ms(u)) for u in (mid, start)]
+        seedings.clear()
+        p.sample_alpha(math.nextafter(end, start))
+        assert [(p.sample_alpha(u), p.next_change_ms(u)) for u in (mid, start)] == expected
+        assert seedings == []
+        before = math.nextafter(start, 0.0)
+        fresh = make_profile("graph_irregular", seed=3)
+        seedings.clear()
+        assert (p.sample_alpha(before), p.next_change_ms(before)) == (
+            fresh.sample_alpha(before), fresh.next_change_ms(before))
+        assert seedings == ["3:levels", "3:stalls"]
 
 
 class TestStreamContract:

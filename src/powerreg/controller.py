@@ -13,8 +13,8 @@ whose true slope is positive.
 
 from __future__ import annotations
 
-import math
 import sys
+from math import isfinite
 
 from .freqset import FrequencyRange, FrequencySet, check_frequency
 
@@ -25,14 +25,18 @@ DEFAULT_DERIV_FLOOR = 0.1  # watts/GHz; binds only on degenerate estimates
 _FLOOR_MIN = sys.float_info.min
 _FLOOR_MAX = sys.float_info.max
 
+# Shared by the helpers and by IntegralController.step, which inlines both.
+_ESTIMATE_MESSAGE = "derivative estimate must be finite"
+_ERROR_MESSAGE = "target, measurement and their difference must be finite"
+
 
 def gain(deriv_estimate: float, deriv_floor: float = DEFAULT_DERIV_FLOOR) -> float:
     """Integrator gain: reciprocal of the floor-clamped slope estimate.
 
     Always positive, finite and at most 1/deriv_floor.
     """
-    if not math.isfinite(deriv_estimate):
-        raise ValueError("derivative estimate must be finite")
+    if not isfinite(deriv_estimate):
+        raise ValueError(_ESTIMATE_MESSAGE)
     if not _FLOOR_MIN <= deriv_floor <= _FLOOR_MAX:
         raise ValueError("deriv_floor must be a positive, finite, normal float")
     # max(deriv_estimate, deriv_floor), without the cost of a builtin call:
@@ -47,8 +51,8 @@ def tracking_error(target: float, measured: float) -> float:
     input: a float difference is finite only if both operands are.
     """
     error = target - measured
-    if not math.isfinite(error):
-        raise ValueError("target, measurement and their difference must be finite")
+    if not isfinite(error):
+        raise ValueError(_ERROR_MESSAGE)
     return error
 
 
@@ -70,21 +74,32 @@ class IntegralController:
     ):
         gain(1.0, deriv_floor)  # gain refuses a bad floor; 1.0 passes its estimate test
         self.omega = omega
-        self.deriv_floor = deriv_floor
+        self._floor = deriv_floor
         self.projected_state = projected_state
         check_frequency(u0, omega)
         self.u_prev = u0
         self._u_raw = u0
 
+    @property
+    def deriv_floor(self) -> float:
+        """Lower clamp on the slope estimate, watts/GHz. Read-only, so the
+        constructor's check covers every step."""
+        return self._floor
+
     def step(self, target: float, y_prev: float, deriv_estimate: float) -> float:
         """Compute the next frequency from last cycle's measured power.
 
+        Inlines tracking_error, then gain, with their checks and messages.
         Leaves the state unchanged if any input is rejected.
         """
-        e = tracking_error(target, y_prev)
-        a = gain(deriv_estimate, self.deriv_floor)
+        e = target - y_prev
+        if not isfinite(e):
+            raise ValueError(_ERROR_MESSAGE)
+        if not isfinite(deriv_estimate):
+            raise ValueError(_ESTIMATE_MESSAGE)
+        floor = self._floor
         base = self.u_prev if self.projected_state else self._u_raw
-        raw = base + a * e
+        raw = base + 1.0 / (floor if floor > deriv_estimate else deriv_estimate) * e
         u = self.omega.project(raw)
         self._u_raw = raw
         self.u_prev = u

@@ -7,8 +7,8 @@ bounds.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
+from math import isfinite
 from typing import Iterable, NamedTuple
 
 from ._record import Checked
@@ -32,7 +32,7 @@ class FrequencySet(Checked, _Levels):
         if not levels:
             raise ValueError("frequency set must not be empty")
         for v in levels:
-            if not math.isfinite(v) or v <= 0.0:
+            if not isfinite(v) or v <= 0.0:
                 raise ValueError(f"frequency level must be finite and positive, got {v!r}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("frequency levels must be strictly increasing")
@@ -60,7 +60,7 @@ class FrequencySet(Checked, _Levels):
         When two levels are equidistant from u the lower one wins. Commands
         outside the range clamp to the nearest endpoint.
         """
-        if not math.isfinite(u):
+        if not isfinite(u):
             raise ValueError(f"cannot project non-finite frequency {u!r}")
         levels = self.levels
         i = bisect_left(levels, u)
@@ -90,7 +90,7 @@ class FrequencyRange(Checked, _Bounds):
 
     def __new__(cls, min_level: float, max_level: float) -> "FrequencyRange":
         lo, hi = min_level, max_level
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
+        if not (isfinite(lo) and isfinite(hi) and 0.0 < lo <= hi):
             raise ValueError(
                 f"frequency range must be finite and positive with min <= max, "
                 f"got [{lo!r}, {hi!r}]")
@@ -101,7 +101,7 @@ class FrequencyRange(Checked, _Bounds):
 
     def project(self, u: float) -> float:
         """Clamp a real-valued frequency command into the range."""
-        if not math.isfinite(u):
+        if not isfinite(u):
             raise ValueError(f"cannot project non-finite frequency {u!r}")
         # min(max(u, lo), hi) by comparisons, without two builtin calls:
         # max keeps its first item unless the second is greater, min unless
@@ -116,7 +116,7 @@ def check_frequency(phi: float, omega: FrequencySet | FrequencyRange) -> None:
     """Reject a frequency that is not positive and finite, or not legal in omega."""
     # bool is an int, and True == 1.0 would pass as a 1 GHz level.
     if not (isinstance(phi, (int, float)) and not isinstance(phi, bool)
-            and math.isfinite(phi) and phi > 0.0):
+            and isfinite(phi) and phi > 0.0):
         raise ValueError(f"frequency must be positive and finite, got {phi!r}")
     if phi not in omega:
         if isinstance(omega, FrequencyRange):

@@ -19,7 +19,7 @@ values would destroy the conditioning of the covariance update.
 
 from __future__ import annotations
 
-import math
+from math import isfinite
 from typing import Iterable, NamedTuple
 
 from ._record import Checked
@@ -27,7 +27,6 @@ from ._record import Checked
 
 def _check_coefficients(a: float, b: float, c: float, d: float) -> None:
     """Raise a ValueError naming the first coefficient that is not finite."""
-    isfinite = math.isfinite
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
         name = next(n for n, v in zip("abcd", (a, b, c, d)) if not isfinite(v))
         raise ValueError(f"coefficient {name} must be finite")
@@ -57,13 +56,13 @@ class CubicModel(Checked, _Coefficients):
 
     def predict(self, phi: float) -> float:
         """Model power at frequency phi, watts."""
-        if not math.isfinite(phi):
+        if not isfinite(phi):
             raise ValueError("frequency must be finite")
         return ((self.a * phi + self.b) * phi + self.c) * phi + self.d
 
     def derivative(self, phi: float) -> float:
         """Model slope dP/dphi at frequency phi, watts per GHz."""
-        if not math.isfinite(phi):
+        if not isfinite(phi):
             raise ValueError("frequency must be finite")
         return (3.0 * self.a * phi + 2.0 * self.b) * phi + self.c
 
@@ -83,9 +82,9 @@ class RlsEstimator:
     """
 
     def __init__(self, forgetting: float, p0: float, x0: CubicModel | None = None):
-        if not (math.isfinite(forgetting) and 0.0 < forgetting <= 1.0):
+        if not (isfinite(forgetting) and 0.0 < forgetting <= 1.0):
             raise ValueError("forgetting factor must be in (0, 1]")
-        if not (math.isfinite(p0) and p0 > 0.0):
+        if not (isfinite(p0) and p0 > 0.0):
             raise ValueError("p0 must be positive")
         self.forgetting = forgetting
         self.model = x0 or CubicModel()
@@ -112,9 +111,9 @@ class RlsEstimator:
         which the estimator keeps as `model`. The state is untouched if the
         inputs are rejected or the update is degenerate.
         """
-        if not (math.isfinite(phi) and phi > 0.0):
+        if not (isfinite(phi) and phi > 0.0):
             raise ValueError("frequency must be positive and finite")
-        if not math.isfinite(power):
+        if not isfinite(power):
             raise ValueError("power must be finite")
         h3 = phi**3
         h2 = phi * phi
@@ -125,7 +124,7 @@ class RlsEstimator:
         g3 = p03 * h3 + p13 * h2 + p23 * phi + p33
         lam = self.forgetting
         den = lam + (h3 * g0 + h2 * g1 + phi * g2 + g3)
-        if den == 0.0 or not math.isfinite(den):
+        if den == 0.0 or not isfinite(den):
             raise ValueError(
                 f"RLS covariance is degenerate: lambda + h'Ph = {den!r} at {phi} GHz")
         k0, k1, k2, k3 = g0 / den, g1 / den, g2 / den, g3 / den
@@ -135,7 +134,7 @@ class RlsEstimator:
         # A float sum is finite only if every term is, so one test covers all
         # four; the full check runs only to name the culprit. Finite terms can
         # still sum past the float range, and then it finds none.
-        if not math.isfinite(a + b + c + d):
+        if not isfinite(a + b + c + d):
             _check_coefficients(a, b, c, d)
         self.coefficients = x = a, b, c, d
         # Checked just above, so the model skips CubicModel.__new__'s check.

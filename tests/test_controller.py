@@ -10,6 +10,10 @@ from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
 from powerreg.oracles import newton_path
 from test_acceptance import WIDE, dg, g
 
+# Any float, with the values that break a naive step weighted in.
+EDGE_FLOATS = st.one_of(st.floats(),
+                        st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]))
+
 
 class TestGain:
     def test_always_positive_and_bounded(self):
@@ -104,6 +108,46 @@ class TestStep:
             ctrl.step(float("inf"), 8.0, 4.0)
         assert ctrl.u_prev == u_prev
 
+    @pytest.mark.parametrize("inputs, message", [
+        ((math.nan, 8.0, 4.0), "target, measurement and their difference must be finite"),
+        ((10.0, -math.inf, math.nan), "target, measurement and their difference must be finite"),
+        ((1e308, -1e308, 4.0), "target, measurement and their difference must be finite"),
+        ((10.0, 8.0, math.inf), "derivative estimate must be finite"),
+    ])
+    def test_rejects_with_the_helpers_messages(self, inputs, message):
+        with pytest.raises(ValueError) as info:
+            IntegralController(DEFAULT_OMEGA, u0=2.0).step(*inputs)
+        assert str(info.value) == message
+
+    @given(target=EDGE_FLOATS, y_prev=EDGE_FLOATS, deriv=EDGE_FLOATS,
+           floor=st.one_of(st.just(0.1), st.floats(min_value=sys.float_info.min,
+                                                  max_value=sys.float_info.max)),
+           ranged=st.booleans(), projected=st.booleans())
+    @example(target=math.nan, y_prev=8.0, deriv=math.nan, floor=0.1,
+             ranged=False, projected=True)
+    @example(target=1e308, y_prev=-1e308, deriv=-math.inf, floor=0.1,
+             ranged=True, projected=False)
+    @example(target=1e308, y_prev=0.0, deriv=-1.0, floor=sys.float_info.min,
+             ranged=True, projected=True)
+    def test_matches_its_reference_composition(self, target, y_prev, deriv, floor,
+                                               ranged, projected):
+        omega = FrequencyRange(0.8, 3.4) if ranged else DEFAULT_OMEGA
+        ctrl = IntegralController(omega, 2.0, deriv_floor=floor, projected_state=projected)
+        ctrl.step(10.0, 8.3, 4.0)  # off the ladder: u_prev and _u_raw can differ
+        u_prev, u_raw = ctrl.u_prev, ctrl._u_raw
+        try:
+            e = tracking_error(target, y_prev)
+            a = gain(deriv, floor)
+            expected = omega.project((u_prev if projected else u_raw) + a * e)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                ctrl.step(target, y_prev, deriv)
+            assert str(info.value) == str(exc)
+            assert (ctrl.u_prev, ctrl._u_raw) == (u_prev, u_raw)
+        else:
+            assert ctrl.step(target, y_prev, deriv).hex() == expected.hex()
+            assert ctrl.u_prev.hex() == expected.hex()
+
     def test_cube_root_iteration_converges(self):
         # continuous frequencies, plant y = u^3, exact derivative: the loop is
         # the Newton iteration for u^3 = 8 and must land on u = 2
@@ -191,6 +235,13 @@ class TestRawStateVariant:
         raw = IntegralController(DEFAULT_OMEGA, u0=2.0, projected_state=False)
         # one step from a common state is identical
         assert proj.step(10.0, 8.0, 4.0) == raw.step(10.0, 8.0, 4.0)
+
+
+def test_deriv_floor_is_read_only():
+    ctrl = IntegralController(DEFAULT_OMEGA, u0=2.0, deriv_floor=0.5)
+    with pytest.raises(AttributeError):
+        ctrl.deriv_floor = 1e-310  # step trusts the floor checked at construction
+    assert ctrl.deriv_floor == 0.5
 
 
 def test_starts_from_u0():

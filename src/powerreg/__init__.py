@@ -12,6 +12,7 @@ from .harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    Trace,
     TraceRecord,
     config_from_pairs,
     mean_frequency,
@@ -45,6 +46,7 @@ __all__ = [
     "Plant",
     "PlantParams",
     "RlsEstimator",
+    "Trace",
     "TraceRecord",
     "WorkloadProfile",
     "config_from_pairs",

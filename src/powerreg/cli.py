@@ -18,8 +18,11 @@ from .harness import ConfigError
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="config file (key = value lines)")
-    sub.add_argument("--out", metavar="PATH", help="output CSV path")
-    sub.add_argument("--seed", type=int, metavar="N", help="override the seed")
+    # Appended, so that _load_pairs can refuse a key given twice.
+    sub.add_argument("--out", action="append", default=[], metavar="PATH",
+                     help="output CSV path")
+    sub.add_argument("--seed", action="append", default=[], type=int, metavar="N",
+                     help="override the seed")
     sub.add_argument(
         "--set", dest="overrides", action="append", default=[],
         metavar="KEY=VALUE", help="override one config key (repeatable)")
@@ -43,20 +46,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_pairs(args: argparse.Namespace) -> dict[str, str]:
-    """Raw config strings from --config, then --set, --seed and --out."""
+    """Raw config strings from --config, overridden by --set, --seed and
+    --out; the command line may set each key once."""
     pairs: dict[str, str] = {}
     if args.config:
         with open(args.config) as fh:
             pairs.update(harness.parse_pairs(fh.read()))
+    given = []  # (option, key, value) from the command line
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        pairs[key.strip()] = value.strip()
-    if args.seed is not None:
-        pairs["seed"] = str(args.seed)
-    if args.out is not None:
-        pairs["out_path"] = args.out
+        given.append(("--set", key.strip(), value.strip()))
+    given += [("--seed", "seed", str(seed)) for seed in args.seed]
+    given += [("--out", "out_path", out) for out in args.out]
+    set_by: dict[str, str] = {}
+    for option, key, value in given:
+        if key in set_by:
+            raise ConfigError(
+                f"{key!r} is set twice on the command line, by {set_by[key]} and {option}")
+        set_by[key] = option
+        pairs[key] = value
     return pairs
 
 

@@ -3,7 +3,8 @@
 One experiment wires the plant, the workload, the RLS identifier, and the
 integral controller into the per-cycle loop: advance the plant one control
 cycle, derive average power from the energy counter, refresh the model,
-compute the next frequency, apply it. Each cycle appends one trace record.
+compute the next frequency, apply it. Each cycle appends one record to the
+run's Trace, which keeps the numbers packed as C doubles.
 
 Configuration is a flat key=value text format with dotted section prefixes.
 The schema table _SCHEMA names every key once, with its parser and its
@@ -17,7 +18,9 @@ from __future__ import annotations
 import csv
 import math
 import re
-from typing import NamedTuple
+from array import array
+from struct import Struct, error as StructError
+from typing import Iterable, Iterator, NamedTuple
 
 from ._record import Checked
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
@@ -46,6 +49,74 @@ class TraceRecord(NamedTuple):
     coeff_d: float
     deriv_est: float
     settled: bool
+
+
+# A record's numbers, every field but settled, as C doubles in field order.
+_NUMBERS = Struct("=11d")
+_pack = _NUMBERS.pack
+_COLUMN = {name: i for i, name in enumerate(TraceRecord._fields[:-1])}
+
+
+def _as_record(numbers: tuple[float, ...], settled: int) -> TraceRecord:
+    # tuple.__new__ skips the named tuple's __new__, a Python function.
+    return tuple.__new__(TraceRecord, (*numbers, settled == 1))
+
+
+class Trace:
+    """One run's records, kept as C doubles: each record's eleven numbers in
+    field order, row after row, and one byte for its settled flag.
+
+    A read-only sequence of TraceRecord, built one at a time as it is read:
+    `len`, indexing from either end, slices (a list of records) and
+    iteration. `Trace(records)` packs a sequence of records, and `column`
+    reads one numeric field of them all without building any. Two traces are
+    equal when they hold the same flags and the same numbers bit for bit, so
+    nan equals nan and -0.0 differs from 0.0 (the two write different CSV
+    text); a trace compares with any other sequence of records as that
+    sequence packed.
+    """
+
+    __slots__ = ("_numbers", "_settled")
+
+    def __init__(self, records: Iterable[TraceRecord] = ()) -> None:
+        self._numbers = array("d")
+        self._settled = bytearray()
+        for *numbers, settled in records:
+            self._numbers.frombytes(_pack(*numbers))
+            self._settled.append(bool(settled))
+
+    def __len__(self) -> int:
+        return len(self._settled)
+
+    def __getitem__(self, index: int | slice) -> TraceRecord | list[TraceRecord]:
+        try:
+            i = range(len(self._settled))[index]
+        except IndexError:
+            raise IndexError("trace index out of range") from None
+        if isinstance(i, range):
+            return [self._record(j) for j in i]
+        return self._record(i)
+
+    def _record(self, i: int) -> TraceRecord:
+        return _as_record(_NUMBERS.unpack_from(self._numbers, i * _NUMBERS.size),
+                          self._settled[i])
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_as_record, _NUMBERS.iter_unpack(self._numbers), self._settled)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            try:
+                other = Trace(other)
+            except (TypeError, ValueError, StructError):  # not a sequence of records
+                return NotImplemented
+        return (self._settled == other._settled
+                and self._numbers.tobytes() == other._numbers.tobytes())
+
+    def column(self, name: str) -> memoryview:
+        """One numeric field of every record, in order: a read-only view of
+        the packed numbers, which copies none of them."""
+        return memoryview(self._numbers).toreadonly()[_COLUMN[name]::len(_COLUMN)]
 
 
 # -- config schema ------------------------------------------------------------
@@ -229,7 +300,7 @@ def _build_loop(config: ExperimentConfig) -> tuple[Plant, RlsEstimator, Integral
     return plant, estimator, controller
 
 
-def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
+def run_experiment(config: ExperimentConfig) -> Trace:
     """Run one closed-loop experiment and return its per-cycle trace."""
     plant, estimator, controller = _build_loop(config)
     cycle_ms, target, floor = config.cycle_ms, config.target_w, config.deriv_floor
@@ -237,7 +308,10 @@ def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
     n_cycles = int(config.duration_ms // cycle_ms)
     band_lo, band_hi = settling_band(target, config.settle_band_frac)
 
-    trace: list[TraceRecord] = []
+    # Each cycle packs its record's numbers straight into the trace, in
+    # TraceRecord's field order, and builds no record.
+    trace = Trace()
+    pack, store, store_settled = _pack, trace._numbers.frombytes, trace._settled.append
     u = config.u0
     prev_energy = plant.read_energy()
     for k in range(n_cycles):
@@ -255,10 +329,8 @@ def run_experiment(config: ExperimentConfig) -> list[TraceRecord]:
         a_gain = gain(deriv, floor)
         u_next = controller.step(target, y, deriv)
 
-        # By position, in TraceRecord's field order: passed as keywords, the
-        # twelve fields made building a record several times slower.
-        trace.append(TraceRecord(float(k * cycle_ms), u, y, target, err, a_gain,
-                                 a, b, c, d, deriv, band_lo <= y <= band_hi))
+        store(pack(k * cycle_ms, u, y, target, err, a_gain, a, b, c, d, deriv))
+        store_settled(band_lo <= y <= band_hi)
         plant.apply_frequency(u_next)
         u = u_next
     return trace
@@ -271,39 +343,37 @@ def settling_band(target_w: float, band_frac: float) -> tuple[float, float]:
     return target_w * (1.0 - band_frac), target_w * (1.0 + band_frac)
 
 
-def settling_time(
-    trace: list[TraceRecord], target_w: float, band_frac: float
-) -> float | None:
+def settling_time(trace: Trace, target_w: float, band_frac: float) -> float | None:
     """First cycle time at which measured power enters the target band."""
     if not trace:
         raise ValueError("trace must be non-empty")
     lo, hi = settling_band(target_w, band_frac)
-    for rec in trace:
-        if lo <= rec.power_w <= hi:
-            return rec.t_ms
+    for t_ms, power in zip(trace.column("t_ms"), trace.column("power_w")):
+        if lo <= power <= hi:
+            return t_ms
     return None
 
 
-def steady_error(
-    trace: list[TraceRecord], target_w: float, settle_ms: float
-) -> float:
+def steady_error(trace: Trace, target_w: float, settle_ms: float) -> float:
     """Absolute gap between mean post-settling power and the target."""
     if not trace:
         raise ValueError("trace must be non-empty")
-    if settle_ms > trace[-1].t_ms:
+    times = trace.column("t_ms")
+    if settle_ms > times[-1]:
         raise ValueError(
             f"settle_ms {settle_ms!r} is beyond the end of the trace "
-            f"({trace[-1].t_ms} ms)")
-    tail = [rec.power_w for rec in trace if rec.t_ms >= settle_ms]
+            f"({times[-1]} ms)")
+    tail = [power for t_ms, power in zip(times, trace.column("power_w")) if t_ms >= settle_ms]
     # statistics.fmean's arithmetic (Python 3.10 to 3.13), here and in
     # mean_frequency, without importing statistics, which loads fractions,
     # decimal and numbers.
     return abs(math.fsum(tail) / len(tail) - target_w)
 
 
-def mean_frequency(trace: list[TraceRecord], from_ms: float = 0.0) -> float:
+def mean_frequency(trace: Trace, from_ms: float = 0.0) -> float:
     """Mean applied frequency from from_ms onward."""
-    vals = [rec.freq_ghz for rec in trace if rec.t_ms >= from_ms]
+    vals = [freq for t_ms, freq in zip(trace.column("t_ms"), trace.column("freq_ghz"))
+            if t_ms >= from_ms]
     if not vals:
         raise ValueError("no records at or after from_ms")
     return math.fsum(vals) / len(vals)
@@ -314,41 +384,47 @@ def mean_frequency(trace: list[TraceRecord], from_ms: float = 0.0) -> float:
 CSV_COLUMNS = TraceRecord._fields
 
 
-# One trace row, formatted from a record's fields in CSV_COLUMNS order: "%.6g"
-# gives the same text as format(value, ".6g") for every float (signed zeros,
-# infinities and nan included), and no field needs CSV quoting.
-_ROW = ",".join(["%.6g"] * (len(CSV_COLUMNS) - 1)) + ",%d\n"
+# A trace row's text, by its settled flag: "%.6g" for each number gives the
+# same text as format(value, ".6g") for every float (signed zeros, infinities
+# and nan included), and no field needs CSV quoting.
+_ROWS = tuple(",".join(["%.6g"] * len(_COLUMN)) + f",{flag}\n" for flag in (0, 1))
 
 _CHUNK_ROWS = 256  # trace rows per write call in write_csv
 
 
-def write_csv(trace: list[TraceRecord], path: str) -> None:
+def write_csv(trace: Trace, path: str) -> None:
     """Write a trace to CSV: header plus one row per cycle, 6 significant digits."""
+    numbers, settled = trace._numbers, trace._settled
+    width = len(_COLUMN)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        # One write per chunk: a write per row costs more per row, and joining
-        # the whole trace first costs its size in memory.
-        for i in range(0, len(trace), _CHUNK_ROWS):
-            fh.write("".join([_ROW % r for r in trace[i:i + _CHUNK_ROWS]]))
+        # One write per chunk, its rows formatted by one % from the packed
+        # numbers: a write per row costs more per row, and joining the whole
+        # trace first costs its size in memory.
+        for i in range(0, len(settled), _CHUNK_ROWS):
+            rows = "".join(map(_ROWS.__getitem__, settled[i:i + _CHUNK_ROWS]))
+            fh.write(rows % tuple(numbers[i * width:(i + _CHUNK_ROWS) * width]))
 
 
-def read_csv(path: str) -> list[TraceRecord]:
+def read_csv(path: str) -> Trace:
     """Parse a trace CSV written by write_csv."""
-    trace = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader, ())) != CSV_COLUMNS:  # () for an empty file
             raise ValueError(f"unexpected CSV header in {path}")
-        for row in reader:
-            try:
-                if len(row) != len(CSV_COLUMNS) or row[-1] not in ("0", "1"):
-                    raise ValueError
-                trace.append(TraceRecord(*map(float, row[:-1]), settled=row[-1] == "1"))
-            except ValueError:  # raised above, or by float() on a non-numeric cell
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: expected {len(CSV_COLUMNS)} "
-                    f"columns, numbers then settled 0 or 1, got {row!r}") from None
-    return trace
+        return Trace(_parse_row(row, path, reader.line_num) for row in reader)
+
+
+def _parse_row(row: list[str], path: str, line_num: int) -> tuple:
+    """One CSV row's record fields, or a ValueError naming the file and line."""
+    try:
+        if len(row) != len(CSV_COLUMNS) or row[-1] not in ("0", "1"):
+            raise ValueError
+        return (*map(float, row[:-1]), row[-1] == "1")
+    except ValueError:  # raised above, or by float() on a non-numeric cell
+        raise ValueError(
+            f"{path}, line {line_num}: expected {len(CSV_COLUMNS)} "
+            f"columns, numbers then settled 0 or 1, got {row!r}") from None
 
 
 # -- config parsing -----------------------------------------------------------
@@ -420,7 +496,7 @@ class SweepRow(NamedTuple):
 SWEEP_COLUMNS = SweepRow._fields
 
 
-def summarize(trace: list[TraceRecord], config: ExperimentConfig) -> SweepRow:
+def summarize(trace: Trace, config: ExperimentConfig) -> SweepRow:
     """Settling time, the steady error after it and the mean frequency from
     it (over the whole run, and no error, when the run never settles)."""
     settled = settling_time(trace, config.target_w, config.settle_band_frac)

@@ -73,6 +73,24 @@ class TestRun:
             assert run_cli("run", "--set", f"{key}={value}") == 2
             assert f"unknown config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key, options", [
+        (["--set", "duration_ms=200", "--set", "duration_ms=300"], "duration_ms",
+         "--set and --set"),
+        (["--seed", "3", "--set", "seed=4"], "seed", "--set and --seed"),
+        (["--set", "out_path=a.csv", "--out", "b.csv"], "out_path", "--set and --out"),
+        (["--seed", "3", "--seed", "4"], "seed", "--seed and --seed"),
+        (["--out", "a.csv", "--out", "b.csv"], "out_path", "--out and --out"),
+    ])
+    def test_key_set_twice_on_the_command_line_exits_2(self, tmp_path, capsys,
+                                                        argv, key, options):
+        # As a config file refuses a repeated key, instead of keeping the last.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("duration_ms = 400\n")
+        for command in ("run", "sweep"):
+            assert run_cli(command, "--config", str(cfg), *argv) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {key!r} is set twice on the command line, by {options}\n")
+
     def test_bad_set_syntax_exits_2(self, capsys):
         assert run_cli("run", "--set", "cycle_ms") == 2
 

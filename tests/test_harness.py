@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from powerreg.harness import (
     DEFAULT_CONFIG_TEXT,
     ConfigError,
     ExperimentConfig,
+    Trace,
     TraceRecord,
     config_from_pairs,
     mean_frequency,
@@ -43,13 +45,16 @@ def make_record(t_ms, power_w, target_w=10.0, freq=2.0):
 
 
 def synthetic_trace(powers, cycle_ms=10, target_w=10.0):
-    return [make_record(float(k * cycle_ms), p, target_w) for k, p in enumerate(powers)]
+    return Trace([make_record(float(k * cycle_ms), p, target_w) for k, p in enumerate(powers)])
 
 
 # Edge cases of %.6g text: signed zeros, non-finite values, subnormals, the
 # switch to exponent form, ties at the sixth digit and the largest float.
 SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
                   1e16, 123456.5, 1234565.0, 0.1, 9.9999995, 1e-5, 1.7976931348623157e308)
+
+RECORD_LISTS = st.lists(st.builds(
+    TraceRecord, *[st.floats() | st.sampled_from(SPECIAL_FLOATS)] * 11, settled=st.booleans()))
 
 
 # SHA-256 of the seed-1 trace CSV of each benchmark config (workload kind,
@@ -264,6 +269,45 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(bad)
 
+    def test_trace_holds_at_most_100_bytes_per_cycle(self):
+        # The benchmark's fast_control run: 20,000 cycles of 1 ms. A named
+        # tuple of new float objects per cycle takes about 369 bytes.
+        cfg = config_from_pairs({"workload.kind": "compute_bound", "cycle_ms": "1",
+                                 "duration_ms": "20000", "seed": "1"})
+        tracemalloc.start()
+        try:
+            trace = run_experiment(cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 20_000
+        assert held / len(trace) <= 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=RECORD_LISTS, data=st.data())
+def test_trace_is_a_sequence_of_its_records(records, data):
+    # Records are compared by repr, which takes nan for nan and tells signed
+    # zeros and a settled flag's type apart, where tuple equality would not.
+    trace = Trace(records)
+    n = len(records)
+    assert len(trace) == n
+    assert repr(list(trace)) == repr(records)
+    assert repr([trace[i] for i in range(-n, n)]) == repr(records + records)
+    assert all(type(rec.settled) is bool for rec in trace)
+    for past_end in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[past_end]
+    window = data.draw(st.slices(n))
+    assert type(trace[window]) is list
+    assert repr(trace[window]) == repr(records[window])
+    assert trace == records and records == trace and trace == Trace(records)
+    assert trace != ["not a record"]
+    if records:
+        last = records[-1]
+        assert trace != records[:-1] + [last._replace(settled=not last.settled)]
+        assert trace != records[:-1]
+
 
 class TestSettlingTime:
     def test_first_entry_into_band(self):
@@ -278,7 +322,7 @@ class TestSettlingTime:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            settling_time([], 10.0, 0.05)
+            settling_time(Trace([]), 10.0, 0.05)
 
     @pytest.mark.parametrize("kind, cycle_ms", BENCHMARK_TRACE_DIGESTS)
     def test_settled_flag_and_settling_time_share_one_band(self, kind, cycle_ms):
@@ -290,7 +334,7 @@ class TestSettlingTime:
         trace = run_experiment(cfg)
         band = cfg.target_w, cfg.settle_band_frac
         assert [rec.settled for rec in trace] == [
-            settling_time([rec], *band) is not None for rec in trace]
+            settling_time(Trace([rec]), *band) is not None for rec in trace]
         first = next(rec.t_ms for rec in trace if rec.settled)
         assert settling_time(trace, *band) == first
 
@@ -309,13 +353,13 @@ class TestSteadyError:
         with pytest.raises(ValueError):
             steady_error(trace, 10.0, 95.0)
         with pytest.raises(ValueError, match="non-empty"):
-            steady_error([], 10.0, 0.0)
+            steady_error(Trace([]), 10.0, 0.0)
 
 
 class TestCsv:
     def test_empty_trace_writes_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv([], str(path))
+        write_csv(Trace([]), str(path))
         assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
         for text in (",".join(reversed(CSV_COLUMNS)) + "\n", ""):
             path.write_text(text)
@@ -360,12 +404,10 @@ class TestCsv:
 
     def test_write_failure_carries_path(self, tmp_path):
         with pytest.raises(OSError):
-            write_csv([], str(tmp_path / "missing" / "t.csv"))
+            write_csv(Trace([]), str(tmp_path / "missing" / "t.csv"))
 
     @settings(max_examples=100, deadline=None)
-    @given(trace=st.lists(st.builds(
-        TraceRecord, *[st.floats() | st.sampled_from(SPECIAL_FLOATS)] * 11,
-        settled=st.booleans())))
+    @given(trace=RECORD_LISTS)
     @example(trace=[])
     # write_csv's memo must not serve the text of one signed zero for the other.
     @example(trace=[TraceRecord(0.0, z, 1.0, z, *[1.0] * 7, settled=True) for z in (0.0, -0.0)])
@@ -374,7 +416,7 @@ class TestCsv:
                     TraceRecord(*SPECIAL_FLOATS[-11:], settled=False)])
     def test_rows_match_csv_writer_reference(self, tmp_path_factory, trace):
         path = tmp_path_factory.getbasetemp() / "rows.csv"
-        write_csv(trace, str(path))
+        write_csv(Trace(trace), str(path))
         assert path.read_bytes() == reference_csv(trace).encode()
         back = read_csv(str(path))
         assert len(back) == len(trace)
@@ -389,8 +431,9 @@ class TestCsv:
                                       2 * _CHUNK_ROWS + 1])
     def test_rows_survive_chunk_boundaries(self, tmp_path, rows):
         # Every row differs, so a chunk written twice, dropped or out of order shows.
-        trace = [make_record(float(i), 9.0 + i / 7.0, freq=DEFAULT_LEVELS[i % len(DEFAULT_LEVELS)])
-                 for i in range(rows)]
+        trace = Trace([make_record(float(i), 9.0 + i / 7.0,
+                                   freq=DEFAULT_LEVELS[i % len(DEFAULT_LEVELS)])
+                       for i in range(rows)])
         path = tmp_path / "t.csv"
         write_csv(trace, str(path))
         assert path.read_bytes() == reference_csv(trace).encode()
@@ -411,8 +454,8 @@ class TestCsv:
 
 class TestMeanFrequency:
     def test_mean_over_window(self):
-        trace = [make_record(float(t * 10), 10.0, freq=f)
-                 for t, f in enumerate([1.0, 2.0, 3.0, 3.0])]
+        trace = Trace([make_record(float(t * 10), 10.0, freq=f)
+                       for t, f in enumerate([1.0, 2.0, 3.0, 3.0])])
         assert mean_frequency(trace) == pytest.approx(2.25)
         assert mean_frequency(trace, 20.0) == pytest.approx(3.0)
 
@@ -431,7 +474,7 @@ class TestSummarize:
         assert row.mean_freq_ghz == mean_frequency(trace, 20.0)
 
     def test_unsettled_run_has_no_error_and_averages_the_whole_run(self):
-        trace = [make_record(float(t * 10), 3.0, freq=f) for t, f in enumerate([1.0, 2.0])]
+        trace = Trace([make_record(float(t * 10), 3.0, freq=f) for t, f in enumerate([1.0, 2.0])])
         row = summarize(trace, ExperimentConfig())
         assert (row.settling_ms, row.error_w, row.mean_freq_ghz) == (None, None, 1.5)
 

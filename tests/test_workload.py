@@ -183,16 +183,20 @@ class TestNextChange:
         # alone and not how many floats earlier code left parked there.
         spare = [i + 0.5 for i in range(1000)]
         del spare
+        # The same free list hides a leak of up to 100 floats, so the second
+        # leg is long: from 120 s to 600 s the walk passes about 160,000
+        # activity changes, and a leak of one float per 1000 changes
+        # outgrows the list.
         tracemalloc.start()
         try:
-            t = walk(0.0, 60_000.0)
-            at_60s = tracemalloc.get_traced_memory()[0]
-            walk(t, 120_000.0)
+            t = walk(0.0, 120_000.0)
             at_120s = tracemalloc.get_traced_memory()[0]
+            walk(t, 600_000.0)
+            at_600s = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert at_60s < 64 * 1024
-        assert at_120s <= at_60s
+        assert at_120s < 64 * 1024
+        assert at_600s <= at_120s
         # a query before the current interval replays the streams from 0
         fresh = make_profile("graph_irregular", seed=1)
         for t in (0.0, 33_333.3):

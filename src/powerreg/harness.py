@@ -23,6 +23,7 @@ from struct import Struct, error as StructError
 from typing import Iterable, Iterator, NamedTuple
 
 from ._record import Checked
+# gain and tracking_error stay bound here for perfbench to swap timing proxies into.
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
 from .freqset import DEFAULT_LEVELS, FrequencyRange, FrequencySet, check_frequency
 from .plant import Plant, PlantParams
@@ -303,7 +304,7 @@ def _build_loop(config: ExperimentConfig) -> tuple[Plant, RlsEstimator, Integral
 def run_experiment(config: ExperimentConfig) -> Trace:
     """Run one closed-loop experiment and return its per-cycle trace."""
     plant, estimator, controller = _build_loop(config)
-    cycle_ms, target, floor = config.cycle_ms, config.target_w, config.deriv_floor
+    cycle_ms, target = config.cycle_ms, config.target_w
     cycle_s = cycle_ms * 1e-3
     n_cycles = int(config.duration_ms // cycle_ms)
     band_lo, band_hi = settling_band(target, config.settle_band_frac)
@@ -325,11 +326,10 @@ def run_experiment(config: ExperimentConfig) -> Trace:
         model = estimator.update(u, y)
         a, b, c, d = estimator.coefficients
         deriv = model.derivative(u)
-        err = tracking_error(target, y)
-        a_gain = gain(deriv, floor)
         u_next = controller.step(target, y, deriv)
 
-        store(pack(k * cycle_ms, u, y, target, err, a_gain, a, b, c, d, deriv))
+        store(pack(k * cycle_ms, u, y, target, controller.error, controller.gain,
+                   a, b, c, d, deriv))
         store_settled(band_lo <= y <= band_hi)
         plant.apply_frequency(u_next)
         u = u_next
@@ -505,21 +505,17 @@ def summarize(trace: Trace, config: ExperimentConfig) -> SweepRow:
                     mean_frequency(trace, settled or 0.0))
 
 
-def run_sweep(
-    base: ExperimentConfig,
-    kinds: tuple[str, ...] = SWEEP_KINDS,
-    cycles: tuple[int, ...] = SWEEP_CYCLES,
-) -> list[SweepRow]:
-    """Run the scenario grid and summarize each run.
+def run_sweep(base: ExperimentConfig) -> list[SweepRow]:
+    """Run the scenario grid, SWEEP_KINDS x SWEEP_CYCLES, and summarize each
+    run, in the order (scenario, cycle_ms); both constants are sorted.
 
     Each run is base with its workload replaced by the scenario kind's preset
     profile (seeded from base.seed) and its cycle_ms by the grid's, so base's
-    own workload and cycle_ms are ignored. Output ordering is by (scenario,
-    cycle_ms), independent of run order.
+    own workload and cycle_ms are ignored.
     """
     rows = []
-    for kind in sorted(kinds):
-        for cycle in sorted(cycles):
+    for kind in SWEEP_KINDS:
+        for cycle in SWEEP_CYCLES:
             cfg = base._replace(cycle_ms=cycle,
                                 workload=make_profile(kind, seed=base.seed), out_path=None)
             rows.append(summarize(run_experiment(cfg), cfg))

@@ -142,10 +142,6 @@ class Plant:
     # -- contract surface -------------------------------------------------
 
     @property
-    def clock_ms(self) -> float:
-        return self._clock_us / 1000.0
-
-    @property
     def counter_phase_ms(self) -> float:
         return self._phase_us / 1000.0
 

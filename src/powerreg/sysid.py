@@ -54,12 +54,6 @@ class CubicModel(Checked, _Coefficients):
         _check_coefficients(a, b, c, d)
         return tuple.__new__(cls, (a, b, c, d))
 
-    def predict(self, phi: float) -> float:
-        """Model power at frequency phi, watts."""
-        if not isfinite(phi):
-            raise ValueError("frequency must be finite")
-        return ((self.a * phi + self.b) * phi + self.c) * phi + self.d
-
     def derivative(self, phi: float) -> float:
         """Model slope dP/dphi at frequency phi, watts per GHz."""
         if not isfinite(phi):
@@ -81,13 +75,13 @@ class RlsEstimator:
     CubicModel, and `coefficients` the same four numbers as a plain tuple.
     """
 
-    def __init__(self, forgetting: float, p0: float, x0: CubicModel | None = None):
+    def __init__(self, forgetting: float, p0: float, x0: Iterable[float] | None = None):
         if not (isfinite(forgetting) and 0.0 < forgetting <= 1.0):
             raise ValueError("forgetting factor must be in (0, 1]")
         if not (isfinite(p0) and p0 > 0.0):
             raise ValueError("p0 must be positive")
         self.forgetting = forgetting
-        self.model = x0 or CubicModel()
+        self.model = CubicModel() if x0 is None else CubicModel.from_array(x0)
         # A plain tuple unpacks faster than the named tuple.
         self.coefficients = tuple(self.model)
         # Upper triangle of P, row by row: p00 p01 p02 p03 p11 p12 p13 p22 p23 p33.

@@ -135,6 +135,7 @@ class TestStep:
         ctrl = IntegralController(omega, 2.0, deriv_floor=floor, projected_state=projected)
         ctrl.step(10.0, 8.3, 4.0)  # off the ladder: u_prev and _u_raw can differ
         u_prev, u_raw = ctrl.u_prev, ctrl._u_raw
+        kept = ctrl.error, ctrl.gain
         try:
             e = tracking_error(target, y_prev)
             a = gain(deriv, floor)
@@ -144,9 +145,12 @@ class TestStep:
                 ctrl.step(target, y_prev, deriv)
             assert str(info.value) == str(exc)
             assert (ctrl.u_prev, ctrl._u_raw) == (u_prev, u_raw)
+            assert (ctrl.error, ctrl.gain) == kept
         else:
             assert ctrl.step(target, y_prev, deriv).hex() == expected.hex()
             assert ctrl.u_prev.hex() == expected.hex()
+            assert ctrl.error.hex() == e.hex()
+            assert ctrl.gain.hex() == a.hex()
 
     def test_cube_root_iteration_converges(self):
         # continuous frequencies, plant y = u^3, exact derivative: the loop is

@@ -189,7 +189,7 @@ class TestAdvance:
                 plant.advance(step_us / 1000.0)
             plants.append(plant)
         one, split = plants
-        assert split.clock_ms == one.clock_ms
+        assert split._clock_us == one._clock_us
         assert split.energy_acc == pytest.approx(one.energy_acc, rel=1e-12)
         assert split.temp == pytest.approx(one.temp, rel=1e-12)
         assert split.read_energy() == pytest.approx(one.read_energy(), rel=1e-12)

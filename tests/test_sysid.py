@@ -49,6 +49,15 @@ class TestInit:
         with pytest.raises(ValueError):
             RlsEstimator(forgetting=1.0, p0=p0)
 
+    @pytest.mark.parametrize("x0, message", [
+        ((math.nan, 0.0, 0.0, 0.0), "coefficient a must be finite"),
+        ((1.0, 2.0, 3.0), "not enough values to unpack"),
+        ((), "not enough values to unpack"),
+    ])
+    def test_rejects_bad_x0(self, x0, message):
+        with pytest.raises(ValueError, match=message):
+            RlsEstimator(forgetting=0.98, p0=1e3, x0=x0)
+
 
 class TestUpdate:
     def test_matches_regularized_batch_solution_exactly(self):
@@ -82,7 +91,7 @@ class TestUpdate:
     def test_forgetting_recovery_of_known_cubic(self):
         truth = CubicModel(2.0, 0.5, 1.0, 3.0)
         phis = [0.8, 1.1, 1.5, 1.8, 2.2, 2.5, 2.9, 3.4]
-        ys = [truth.predict(p) for p in phis]
+        ys = [np.polyval(truth, p) for p in phis]
         est = RlsEstimator(forgetting=0.98, p0=1e8)
         for phi, y in zip(phis, ys):
             est.update(phi, y)
@@ -162,7 +171,7 @@ class TestOracleEquivalence:
             phis = sorted(rng.uniform(0.5, 4.0) for _ in range(n))
             if min(b - a for a, b in zip(phis, phis[1:])) < 0.25:
                 continue
-            ys = [truth.predict(p) for p in phis]
+            ys = [np.polyval(truth, p) for p in phis]
             est = RlsEstimator(forgetting=1.0, p0=1e13)
             for phi, y in zip(phis, ys):
                 est.update(phi, y)
@@ -192,19 +201,15 @@ class TestForgetting:
         for k in range(switch + 80):
             truth = before if k < switch else after
             phi = rng.uniform(0.8, 3.4)
-            est.update(phi, truth.predict(phi))
-            errors.append(abs(est.model.predict(phi) - truth.predict(phi)))
+            y = np.polyval(truth, phi)
+            est.update(phi, y)
+            errors.append(abs(np.polyval(est.model, phi) - y))
         assert errors[switch + 50] < errors[switch + 1]
         # forgetting has washed out the old regime almost entirely by then
         assert errors[switch + 50] < 0.02 * errors[switch + 1]
 
 
 class TestCubicModel:
-    def test_predict_values(self):
-        assert CubicModel(1, 2, 3, 4).predict(1.0) == 10.0
-        assert CubicModel(0, 0, 0, 7).predict(123.4) == 7.0
-        assert CubicModel(1, 0, 0, 0).predict(3.0) == 27.0
-
     def test_derivative_values(self):
         assert CubicModel(1, 0, 0, 0).derivative(2.0) == 12.0
         assert CubicModel(2, 0, 1, 5).derivative(1.0) == 7.0
@@ -216,7 +221,7 @@ class TestCubicModel:
             m = CubicModel(rng.uniform(-3, 3), rng.uniform(-3, 3),
                            rng.uniform(-3, 3), rng.uniform(-3, 3))
             phi = rng.uniform(0.5, 3.5)
-            fd = (m.predict(phi + h) - m.predict(phi - h)) / (2.0 * h)
+            fd = (np.polyval(m, phi + h) - np.polyval(m, phi - h)) / (2.0 * h)
             assert m.derivative(phi) == pytest.approx(fd, abs=1e-6)
 
     def test_rejects_non_finite_coefficients(self):
@@ -263,8 +268,5 @@ class TestCubicModel:
         assert CubicModel.from_array(np.array(m)) == m
 
     def test_rejects_non_finite_phi(self):
-        m = CubicModel(1, 1, 1, 1)
         with pytest.raises(ValueError):
-            m.predict(math.inf)
-        with pytest.raises(ValueError):
-            m.derivative(math.nan)
+            CubicModel(1, 1, 1, 1).derivative(math.nan)

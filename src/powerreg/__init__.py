@@ -11,10 +11,12 @@ from .freqset import DEFAULT_LEVELS, DEFAULT_OMEGA, FrequencyRange, FrequencySet
 from .harness import (
     CSV_COLUMNS,
     ConfigError,
+    ErrorSplit,
     ExperimentConfig,
     Trace,
     TraceRecord,
     config_from_pairs,
+    error_split,
     mean_frequency,
     parse_config,
     read_csv,
@@ -38,6 +40,7 @@ __all__ = [
     "DEFAULT_DERIV_FLOOR",
     "DEFAULT_LEVELS",
     "DEFAULT_OMEGA",
+    "ErrorSplit",
     "ExperimentConfig",
     "FrequencyRange",
     "FrequencySet",
@@ -50,6 +53,7 @@ __all__ = [
     "TraceRecord",
     "WorkloadProfile",
     "config_from_pairs",
+    "error_split",
     "gain",
     "make_profile",
     "mean_frequency",

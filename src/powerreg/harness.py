@@ -53,7 +53,10 @@ class TraceRecord(NamedTuple):
 
 
 # A record's numbers, every field but settled, as C doubles in field order.
-_NUMBERS = Struct("=11d")
+# Native layout: eleven doubles have no padding, so the bytes are an
+# array('d')'s, and struct copies each double as is instead of converting it
+# through the portable IEEE format that "=" asks for.
+_NUMBERS = Struct("11d")
 _pack = _NUMBERS.pack
 _COLUMN = {name: i for i, name in enumerate(TraceRecord._fields[:-1])}
 
@@ -379,15 +382,52 @@ def mean_frequency(trace: Trace, from_ms: float = 0.0) -> float:
     return math.fsum(vals) / len(vals)
 
 
+class ErrorSplit(NamedTuple):
+    """The signed error over a run's second half, mean power minus target in
+    watts, as the sum of a ceiling term and a loop term."""
+
+    ceiling_w: float  # from pinned cycles: the ladder cannot reach the target
+    loop_w: float  # from all other cycles: the loop's own bias
+    pinned_share: float  # pinned cycles / cycles
+
+
+def error_split(trace: Trace, config: ExperimentConfig) -> ErrorSplit:
+    """Split the signed error over the records from len(trace) // 2 on.
+
+    A cycle is pinned when it ran at the top of config's ladder with power
+    below target, or at the bottom with power above. Each term is its
+    cycles' sum of power minus target, divided by the number of cycles, so
+    the two add up to the signed error and only the loop term is the
+    controller's to fix.
+    """
+    if not trace:
+        raise ValueError("trace must be non-empty")
+    omega = config.frequency_set()
+    lo, hi = omega.min_level, omega.max_level
+    start = len(trace) // 2
+    pinned, free = [], []
+    for u, y, target in zip(trace.column("freq_ghz")[start:], trace.column("power_w")[start:],
+                            trace.column("target_w")[start:]):
+        is_pinned = (u == hi and y < target) or (u == lo and y > target)
+        (pinned if is_pinned else free).append(y - target)
+    n = len(trace) - start
+    return ErrorSplit(math.fsum(pinned) / n, math.fsum(free) / n, len(pinned) / n)
+
+
 # -- CSV --------------------------------------------------------------------
 
 CSV_COLUMNS = TraceRecord._fields
 
 
-# A trace row's text, by its settled flag: "%.6g" for each number gives the
-# same text as format(value, ".6g") for every float (signed zeros, infinities
-# and nan included), and no field needs CSV quoting.
-_ROWS = tuple(",".join(["%.6g"] * len(_COLUMN)) + f",{flag}\n" for flag in (0, 1))
+# How the CSVs print a number: 6 significant digits, the same text as
+# format(value, ".6g") for every float (signed zeros, infinities and nan
+# included). "%g" already means precision 6, and unlike "%.6g" it takes the
+# str % formatter's fast path, which writes a float with no width, precision
+# or sign flag straight into the result.
+_NUMBER = "%g"
+
+# A trace row's text, by its settled flag; no field needs CSV quoting.
+_ROWS = tuple(",".join([_NUMBER] * len(_COLUMN)) + f",{flag}\n" for flag in (0, 1))
 
 _CHUNK_ROWS = 256  # trace rows per write call in write_csv
 
@@ -528,5 +568,5 @@ def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([row.scenario, str(row.cycle_ms)] + [
-                "" if v is None else format(v, ".6g")
+                "" if v is None else _NUMBER % v
                 for v in (row.settling_ms, row.error_w, row.mean_freq_ghz)])

@@ -23,6 +23,7 @@ from powerreg.harness import (
     Trace,
     TraceRecord,
     config_from_pairs,
+    error_split,
     mean_frequency,
     parse_config,
     parse_pairs,
@@ -51,10 +52,13 @@ def synthetic_trace(powers, cycle_ms=10, target_w=10.0):
     return Trace([make_record(float(k * cycle_ms), p, target_w) for k, p in enumerate(powers)])
 
 
-# Edge cases of %.6g text: signed zeros, non-finite values, subnormals, the
-# switch to exponent form, ties at the sixth digit and the largest float.
+# Edge cases of %g text: signed zeros, non-finite values, subnormals, the
+# switch to exponent form at both ends (999999.5 rounds up to "1e+06";
+# 9.999995e-05 rounds up to "0.0001"), ties at the sixth digit and the
+# largest float.
 SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
-                  1e16, 123456.5, 1234565.0, 0.1, 9.9999995, 1e-5, 1.7976931348623157e308)
+                  1e16, 123456.5, 1234565.0, 0.1, 9.9999995, 1e-5, 1.7976931348623157e308,
+                  999999.5, 0.0001, 9.999995e-05)
 
 RECORD_LISTS = st.lists(st.builds(
     TraceRecord, *[st.floats() | st.sampled_from(SPECIAL_FLOATS)] * 11, settled=st.booleans()))
@@ -420,7 +424,7 @@ class TestCsv:
     @settings(max_examples=100, deadline=None)
     @given(trace=RECORD_LISTS)
     @example(trace=[])
-    # write_csv's memo must not serve the text of one signed zero for the other.
+    # 0.0 and -0.0 compare equal but print "0" and "-0": each row keeps its own.
     @example(trace=[TraceRecord(0.0, z, 1.0, z, *[1.0] * 7, settled=True) for z in (0.0, -0.0)])
     @example(trace=[TraceRecord(0.0, z, 1.0, z, *[1.0] * 7, settled=True) for z in (-0.0, 0.0)])
     @example(trace=[TraceRecord(*SPECIAL_FLOATS[:11], settled=True),
@@ -473,6 +477,47 @@ class TestMeanFrequency:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             mean_frequency(synthetic_trace([10.0]), 50.0)
+
+
+class TestErrorSplit:
+    def test_synthetic_trace_by_hand(self):
+        # The first four records fall before the second half and are skipped,
+        # pinned or not. Of the last five, the two pinned ones give
+        # (-1.0 + 1.5) / 5 and the other three (0.5 - 0.5 + 0.25) / 5: the top
+        # level above target and the bottom one below it are not pinned.
+        cycles = [(3.4, 5.0), (0.8, 15.0), (2.0, 9.0), (2.0, 9.0),
+                  (3.4, 9.0), (0.8, 11.5), (3.4, 10.5), (0.8, 9.5), (2.0, 10.25)]
+        trace = Trace([make_record(float(k * 10), power, freq=freq)
+                       for k, (freq, power) in enumerate(cycles)])
+        split = error_split(trace, ExperimentConfig())
+        assert split.ceiling_w == pytest.approx(0.1, abs=1e-15)
+        assert split.loop_w == pytest.approx(0.05, abs=1e-15)
+        assert split.pinned_share == 0.4
+
+    @given(cycles=st.lists(st.tuples(st.sampled_from(DEFAULT_LEVELS),
+                                     st.floats(0.0, 100.0)), min_size=1))
+    def test_terms_add_up_to_the_signed_error(self, cycles):
+        trace = Trace([make_record(float(k), power, freq=freq)
+                       for k, (freq, power) in enumerate(cycles)])
+        half = [power - 10.0 for _, power in cycles[len(cycles) // 2:]]
+        split = error_split(trace, ExperimentConfig())
+        assert abs(split.ceiling_w + split.loop_w - math.fsum(half) / len(half)) <= 1e-12
+        assert 0.0 <= split.pinned_share <= 1.0
+
+    def test_run_pinned_at_the_top_level_has_no_loop_term(self):
+        # No level reaches 30 W, so the loop climbs to the top and stays.
+        cfg = parse_config("target_w=30")
+        trace = run_experiment(cfg)
+        second_half = trace[len(trace) // 2:]
+        assert {rec.freq_ghz for rec in second_half} == {max(DEFAULT_LEVELS)}
+        split = error_split(trace, cfg)
+        assert (split.loop_w, split.pinned_share) == (0.0, 1.0)
+        assert split.ceiling_w == pytest.approx(
+            math.fsum(rec.power_w for rec in second_half) / len(second_half) - 30.0)
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            error_split(Trace([]), ExperimentConfig())
 
 
 class TestSummarize:

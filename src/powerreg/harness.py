@@ -187,7 +187,7 @@ _SCHEMA: tuple[tuple[str, tuple[_Key, ...]], ...] = (
         _Key(f"plant.{name}", float, repr(value))
         for name, value in PlantParams()._asdict().items()
     ) + (
-        _Key("plant.counter_phase", float, "0.0   (unset: drawn from the seed)",
+        _Key("plant.counter_phase", float, "0.0   # unset: drawn from the seed",
              optional=True, field_name="counter_phase_ms"),
     )),
     ("identification", (

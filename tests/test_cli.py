@@ -20,7 +20,7 @@ def run_cli(*argv):
 STDOUT_DIGESTS = {
     "run": "321f7430c5018866353b857b9e8fcd0784ff2b45de5d48015e2a7d5f841faf5c",
     "sweep": "9e8bcce0795ea826d138ab78c179af688b393fc717b18638029770af8245ff13",
-    "defaults": "81f90bc62a56df5510c496fda8864292fe779af8a707be93ed5f1836967bb7bb",
+    "defaults": "fbe5cc951d20a22d4ef035ac1643ba62e549ede3f239232dcffee336d1c558d4",
 }
 
 
@@ -179,6 +179,19 @@ def test_import_path_loads_no_numpy(tmp_path):
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == STDOUT_DIGESTS[command], command
         assert proc.stderr == "[]\n", command
+
+
+def test_every_module_imports_without_numpy(tmp_path):
+    # numpy is a test extra: no module of the installed package may need it.
+    src = os.path.dirname(os.path.dirname(powerreg.__file__))
+    probe = ("import importlib, pkgutil, sys; sys.modules['numpy'] = None; import powerreg\n"
+             "for mod in pkgutil.walk_packages(powerreg.__path__, 'powerreg.'):\n"
+             "    importlib.import_module(mod.name)\n"
+             "    print(mod.name)")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "powerreg.oracles" in proc.stdout.split()
 
 
 def test_requires_subcommand():

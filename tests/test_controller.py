@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from powerreg.controller import IntegralController, gain, tracking_error
 from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
-from powerreg.oracles import newton_path
+from oracles import newton_path
 from test_acceptance import WIDE, dg, g
 
 # Any float, with the values that break a naive step weighted in.

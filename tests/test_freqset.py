@@ -11,7 +11,7 @@ from powerreg.freqset import (
     FrequencySet,
     check_frequency,
 )
-from powerreg.oracles import nearest_level_brute
+from oracles import nearest_level_brute
 
 
 class TestFromList:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import pickle
+import re
 import tracemalloc
 
 import pytest
@@ -181,6 +182,16 @@ class TestParseConfig:
         assert ExperimentConfig() == parse_config("") == parse_config(DEFAULT_CONFIG_TEXT)
         assert ExperimentConfig(seed=5) == parse_config("seed=5")
         assert ExperimentConfig(seed=5).workload.seed == 5
+
+    def test_every_commented_default_parses_once_uncommented(self):
+        # Each optional key's line, with its "# " removed, is a valid setting:
+        # a note after the example value is a comment, not part of it.
+        text = re.sub(r"^# (?=\S+ = )", "", DEFAULT_CONFIG_TEXT, flags=re.M)
+        cfg = parse_config(text)
+        assert cfg.counter_phase_ms == 0.0
+        assert cfg.out_path == "trace.csv"
+        # The workload's example values are the compute_bound preset.
+        assert cfg.workload._replace(kind="compute_bound") == make_profile("compute_bound", seed=1)
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ConfigError, match=r"line 3: 'target_w' is already set on line 1"):

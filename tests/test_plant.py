@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
-from powerreg.oracles import first_order_rise, reference_energy, steady_power, true_cubic_coeffs
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
+from oracles import first_order_rise, reference_energy, steady_power, true_cubic_coeffs
 
 
 def constant_profile(seed=0, alpha=1.0):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerreg.freqset import DEFAULT_LEVELS
-from powerreg.oracles import batch_cubic_fit
 from powerreg.sysid import CubicModel, RlsEstimator
+from oracles import batch_cubic_fit
 
 
 def textbook_rls(samples, lam, p0):

@@ -361,24 +361,22 @@ def steady_error(trace: Trace, target_w: float, settle_ms: float) -> float:
     """Absolute gap between mean post-settling power and the target."""
     if not trace:
         raise ValueError("trace must be non-empty")
-    times = trace.column("t_ms")
-    if settle_ms > times[-1]:
-        raise ValueError(
-            f"settle_ms {settle_ms!r} is beyond the end of the trace "
-            f"({times[-1]} ms)")
-    tail = [power for t_ms, power in zip(times, trace.column("power_w")) if t_ms >= settle_ms]
-    # statistics.fmean's arithmetic (Python 3.10 to 3.13), here and in
-    # mean_frequency, without importing statistics, which loads fractions,
-    # decimal and numbers.
-    return abs(math.fsum(tail) / len(tail) - target_w)
+    return abs(_mean_from(trace, "power_w", settle_ms) - target_w)
 
 
 def mean_frequency(trace: Trace, from_ms: float = 0.0) -> float:
     """Mean applied frequency from from_ms onward."""
-    vals = [freq for t_ms, freq in zip(trace.column("t_ms"), trace.column("freq_ghz"))
-            if t_ms >= from_ms]
+    return _mean_from(trace, "freq_ghz", from_ms)
+
+
+def _mean_from(trace: Trace, column: str, from_ms: float) -> float:
+    """Mean of a column over the records at or after from_ms. Raises if there
+    are none, as when from_ms is NaN or past the last record."""
+    vals = [v for t_ms, v in zip(trace.column("t_ms"), trace.column(column)) if t_ms >= from_ms]
     if not vals:
-        raise ValueError("no records at or after from_ms")
+        raise ValueError(f"no records at or after {from_ms!r} ms")
+    # statistics.fmean's arithmetic (Python 3.10 to 3.13), without importing
+    # statistics, which loads fractions, decimal and numbers.
     return math.fsum(vals) / len(vals)
 
 
@@ -556,8 +554,7 @@ def run_sweep(base: ExperimentConfig) -> list[SweepRow]:
     rows = []
     for kind in SWEEP_KINDS:
         for cycle in SWEEP_CYCLES:
-            cfg = base._replace(cycle_ms=cycle,
-                                workload=make_profile(kind, seed=base.seed), out_path=None)
+            cfg = base._replace(cycle_ms=cycle, workload=make_profile(kind, seed=base.seed))
             rows.append(summarize(run_experiment(cfg), cfg))
     return rows
 

@@ -1,5 +1,4 @@
 import math
-import random
 import sys
 
 import pytest
@@ -16,14 +15,8 @@ EDGE_FLOATS = st.one_of(st.floats(),
 
 
 class TestGain:
-    def test_always_positive_and_bounded(self):
-        rng = random.Random(5)
-        for _ in range(1000):
-            a = gain(rng.uniform(-50.0, 50.0), 0.1)
-            assert 0.0 < a <= 10.0
-
     def test_rejects_non_finite_estimate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^derivative estimate must be finite$"):
             gain(float("nan"), 0.1)
 
     def test_rejects_bad_floor(self):
@@ -60,15 +53,12 @@ class TestGain:
 
 
 class TestTrackingError:
-    def test_basic(self):
-        assert tracking_error(10.0, 8.0) == 2.0
-
-    def test_zero(self):
-        assert tracking_error(10.0, 10.0) == 0.0
-
-    def test_negative_when_over_target(self):
-        # a 5 W target against a 7.749 W starting measurement
-        assert tracking_error(5.0, 7.749) == pytest.approx(-2.749)
+    # the last row: a 5 W target against a 7.749 W starting measurement
+    @pytest.mark.parametrize("target, measured, error", [
+        (10.0, 8.0, 2.0), (10.0, 10.0, 0.0), (5.0, 7.749, pytest.approx(-2.749))],
+        ids=["basic", "zero", "negative_when_over_target"])
+    def test_is_target_minus_measurement(self, target, measured, error):
+        assert tracking_error(target, measured) == error
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -87,42 +77,17 @@ class TestTrackingError:
 
 
 class TestStep:
-    def test_quarter_gain_step_lands_on_level(self):
-        ctrl = IntegralController(DEFAULT_OMEGA, u0=2.0)
-        u = ctrl.step(target=10.0, y_prev=8.0, deriv_estimate=4.0)
-        assert u == 2.5
-        assert u in DEFAULT_OMEGA
-        assert ctrl.u_prev == 2.5
-
-    def test_zero_error_is_fixed_point(self):
-        ctrl = IntegralController(DEFAULT_OMEGA, u0=2.0)
-        assert ctrl.step(10.0, 10.0, 4.0) == 2.0
-
-    def test_state_unchanged_on_bad_input(self):
-        ctrl = IntegralController(DEFAULT_OMEGA, u0=2.0)
-        ctrl.step(10.0, 8.0, 4.0)
-        u_prev = ctrl.u_prev
-        with pytest.raises(ValueError):
-            ctrl.step(10.0, float("nan"), 4.0)
-        with pytest.raises(ValueError):
-            ctrl.step(float("inf"), 8.0, 4.0)
-        assert ctrl.u_prev == u_prev
-
-    @pytest.mark.parametrize("inputs, message", [
-        ((math.nan, 8.0, 4.0), "target, measurement and their difference must be finite"),
-        ((10.0, -math.inf, math.nan), "target, measurement and their difference must be finite"),
-        ((1e308, -1e308, 4.0), "target, measurement and their difference must be finite"),
-        ((10.0, 8.0, math.inf), "derivative estimate must be finite"),
-    ])
-    def test_rejects_with_the_helpers_messages(self, inputs, message):
-        with pytest.raises(ValueError) as info:
-            IntegralController(DEFAULT_OMEGA, u0=2.0).step(*inputs)
-        assert str(info.value) == message
-
     @given(target=EDGE_FLOATS, y_prev=EDGE_FLOATS, deriv=EDGE_FLOATS,
            floor=st.one_of(st.just(0.1), st.floats(min_value=sys.float_info.min,
                                                   max_value=sys.float_info.max)),
            ranged=st.booleans(), projected=st.booleans())
+    # A quarter-gain step; zero error; a non-finite measurement refused before a
+    # NaN estimate; an infinite estimate.
+    @example(target=10.0, y_prev=8.0, deriv=4.0, floor=0.1, ranged=False, projected=True)
+    @example(target=10.0, y_prev=10.0, deriv=4.0, floor=0.1, ranged=False, projected=True)
+    @example(target=10.0, y_prev=-math.inf, deriv=math.nan, floor=0.1,
+             ranged=False, projected=True)
+    @example(target=10.0, y_prev=8.0, deriv=math.inf, floor=0.1, ranged=False, projected=True)
     @example(target=math.nan, y_prev=8.0, deriv=math.nan, floor=0.1,
              ranged=False, projected=True)
     @example(target=1e308, y_prev=-1e308, deriv=-math.inf, floor=0.1,
@@ -152,17 +117,6 @@ class TestStep:
             assert ctrl.error.hex() == e.hex()
             assert ctrl.gain.hex() == a.hex()
 
-    def test_cube_root_iteration_converges(self):
-        # continuous frequencies, plant y = u^3, exact derivative: the loop is
-        # the Newton iteration for u^3 = 8 and must land on u = 2
-        ctrl = IntegralController(WIDE, u0=1.0)
-        cube, dcube = (lambda u: u**3), (lambda u: 3.0 * u * u)
-        u = 1.0
-        for _ in range(30):
-            u = ctrl.step(8.0, cube(u), dcube(u))
-        assert u == pytest.approx(2.0, abs=1e-12)
-        assert abs(8.0 - cube(u)) < 1e-9
-
     def test_cube_root_iterates_match_reference_newton(self):
         ctrl = IntegralController(WIDE, u0=1.0)
         ref = newton_path(lambda u: u**3, lambda u: 3.0 * u * u, 8.0, 1.0,
@@ -182,16 +136,6 @@ class TestNewtonBehavior:
         for expected in ref[1:]:
             u = ctrl.step(10.0, g(u), dg(u))
             assert u == pytest.approx(expected, rel=1e-14)
-
-    def test_converges_despite_derivative_errors(self):
-        # relative derivative error up to 0.5 in magnitude, random sign
-        rng = random.Random(42)
-        ctrl = IntegralController(WIDE, u0=2.0)
-        u = 2.0
-        for _ in range(60):
-            deriv = dg(u) * (1.0 + rng.uniform(-0.5, 0.5))
-            u = ctrl.step(10.0, g(u), deriv)
-        assert abs(10.0 - g(u)) < 1e-6
 
     def test_recovers_from_transient_negative_estimates(self):
         # floor-clamped gain on early garbage estimates drives the command to

@@ -38,7 +38,7 @@ from powerreg.harness import (
     write_sweep_csv,
 )
 from powerreg.plant import Plant, PlantParams
-from powerreg.sysid import RlsEstimator
+from powerreg.sysid import CubicModel, RlsEstimator
 from powerreg.workload import KINDS, make_profile
 
 
@@ -117,10 +117,6 @@ class TestParseConfig:
         assert cfg.projected_state is True
         assert cfg.settle_band_frac == 0.05
         assert cfg.seed == 1
-
-    def test_thirty_ms_cycles(self):
-        cfg = parse_config("cycle_ms=30")
-        assert cfg.cycle_ms == 30
 
     def test_fractional_cycle_rejected(self):
         with pytest.raises(ConfigError, match="cycle_ms"):
@@ -222,11 +218,13 @@ class TestParseConfig:
                  id="FrequencyRange"),
     pytest.param(ExperimentConfig(), dict(workload=None, seed=True),
                  "workload: seed must be an int", id="ExperimentConfig"),
+    pytest.param(CubicModel(1.5, -2.0, 3.25, 1e-300), dict(a=math.nan),
+                 "^coefficient a must be finite$", id="CubicModel"),
 ])
 def test_config_parts_are_immutable_values(record, changes, error):
     # Equal and hashable by their fields; pickled and deep-copied to the same
-    # type and value; no field can be assigned; and `_replace` makes a copy
-    # through the same checks as the constructor.
+    # type and value; no field can be assigned and no attribute added; and
+    # `_replace` makes a copy through the same checks as the constructor.
     twin = type(record)(**record._asdict())
     assert twin == record and twin is not record and hash(twin) == hash(record)
     for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
@@ -234,6 +232,8 @@ def test_config_parts_are_immutable_values(record, changes, error):
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.not_a_field = 0
     with pytest.raises(ValueError, match=error):
         record._replace(**changes)
 
@@ -376,44 +376,20 @@ class TestSteadyError:
 
     def test_settle_beyond_trace_end_rejected(self):
         trace = synthetic_trace([10.0] * 10)
-        with pytest.raises(ValueError):
-            steady_error(trace, 10.0, 95.0)
+        for settle_ms in (95.0, math.nan):
+            with pytest.raises(ValueError, match="no records at or after"):
+                steady_error(trace, 10.0, settle_ms)
         with pytest.raises(ValueError, match="non-empty"):
             steady_error(Trace([]), 10.0, 0.0)
 
 
 class TestCsv:
-    def test_empty_trace_writes_header_only(self, tmp_path):
+    def test_wrong_or_missing_header_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(Trace([]), str(path))
-        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
         for text in (",".join(reversed(CSV_COLUMNS)) + "\n", ""):
             path.write_text(text)
             with pytest.raises(ValueError, match="unexpected CSV header"):
                 read_csv(str(path))
-
-    def test_one_line_per_record_plus_header(self, tmp_path):
-        trace = synthetic_trace([10.0] * 400)
-        path = tmp_path / "t.csv"
-        write_csv(trace, str(path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 401
-        assert path.read_text().endswith("\n")
-
-    def test_round_trip_preserves_six_significant_digits(self, tmp_path):
-        cfg = parse_config("workload.kind=memory_bound\nduration_ms=800")
-        trace = run_experiment(cfg)
-        path = tmp_path / "t.csv"
-        write_csv(trace, str(path))
-        back = read_csv(str(path))
-        assert len(back) == len(trace)
-        for orig, rt in zip(trace, back):
-            for name in ("t_ms", "freq_ghz", "power_w", "target_w", "error_w",
-                         "gain", "coeff_a", "coeff_b", "coeff_c", "coeff_d",
-                         "deriv_est"):
-                a, b = getattr(orig, name), getattr(rt, name)
-                assert b == pytest.approx(a, rel=1e-5, abs=1e-9)
-            assert rt.settled == orig.settled
 
     @pytest.mark.parametrize("row", [
         "0,2,10,10,0,0.25,0,0,0,0,4",          # short row
@@ -540,10 +516,14 @@ class TestSummarize:
         assert row.error_w == pytest.approx(steady_error(trace, 10.0, 20.0))
         assert row.mean_freq_ghz == mean_frequency(trace, 20.0)
 
-    def test_unsettled_run_has_no_error_and_averages_the_whole_run(self):
+    def test_unsettled_run_has_no_error_and_averages_the_whole_run(self, tmp_path):
         trace = Trace([make_record(float(t * 10), 3.0, freq=f) for t, f in enumerate([1.0, 2.0])])
         row = summarize(trace, ExperimentConfig())
         assert (row.settling_ms, row.error_w, row.mean_freq_ghz) == (None, None, 1.5)
+        # and its sweep CSV row leaves both cells empty
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([row], str(path))
+        assert path.read_text().splitlines()[1] == "constant,10,,,1.5"
 
 
 class TestSweep:

@@ -1,6 +1,4 @@
-import copy
 import math
-import pickle
 import random
 
 import numpy as np
@@ -224,10 +222,6 @@ class TestCubicModel:
             fd = (np.polyval(m, phi + h) - np.polyval(m, phi - h)) / (2.0 * h)
             assert m.derivative(phi) == pytest.approx(fd, abs=1e-6)
 
-    def test_rejects_non_finite_coefficients(self):
-        with pytest.raises(ValueError):
-            CubicModel(float("nan"), 0, 0, 0)
-
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_is_named(self, position, bad):
@@ -239,27 +233,13 @@ class TestCubicModel:
         with pytest.raises(ValueError, match=f"^coefficient {name} must be finite$"):
             CubicModel(1.0, 2.0, 3.0, 4.0)._replace(**{name: bad})
 
-    def test_is_immutable(self):
-        m = CubicModel(1.0, 2.0, 3.0, 4.0)
-        with pytest.raises(AttributeError):
-            m.a = 5.0
-        with pytest.raises(AttributeError):
-            m.e = 5.0
-
     def test_value_semantics(self):
+        # Hashes, copies and frozen fields are checked with the other records
+        # in test_harness.py.
         m = CubicModel(1.0, 2.0, 3.0, 4.0)
-        assert m == CubicModel(1.0, 2.0, 3.0, 4.0)
-        assert m != CubicModel(1.0, 2.0, 3.0, 5.0)
-        assert m == (1.0, 2.0, 3.0, 4.0)
-        assert hash(m) == hash(CubicModel(1.0, 2.0, 3.0, 4.0))
+        assert m == (1.0, 2.0, 3.0, 4.0) and m != (1.0, 2.0, 3.0, 5.0)
         assert CubicModel() == CubicModel(0.0, 0.0, 0.0, 0.0)
         assert repr(m) == "CubicModel(a=1.0, b=2.0, c=3.0, d=4.0)"
-
-    def test_pickle_and_deepcopy_round_trip(self):
-        m = CubicModel(1.5, -2.0, 3.25, 1e-300)
-        for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
-            assert type(back) is CubicModel
-            assert back == m
 
     def test_update_returns_a_cubic_model(self):
         est = RlsEstimator(0.98, 1e3)

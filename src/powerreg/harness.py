@@ -326,9 +326,8 @@ def run_experiment(config: ExperimentConfig) -> Trace:
         y = (now_energy - prev_energy) / cycle_s
         prev_energy = now_energy
 
-        model = estimator.update(u, y)
+        deriv = estimator.update(u, y).derivative(u)
         a, b, c, d = estimator.coefficients
-        deriv = model.derivative(u)
         u_next = controller.step(target, y, deriv)
 
         store(pack(k * cycle_ms, u, y, target, controller.error, controller.gain,

@@ -8,9 +8,9 @@ derivative dp/dphi feeds the controller's gain.
 The update runs once per control cycle, so it is written in plain floats:
 the symmetric 4x4 covariance P is held as its 10 unique entries (upper
 triangle, row by row) and each step is unrolled, with no array library.
-P stays symmetric by construction. The model is an immutable named tuple of
-finite coefficients, so the update's one new model per cycle is a tuple
-build.
+P stays symmetric by construction. The update keeps the coefficients as a
+plain tuple and builds no model: the loop reads the slope straight from
+that tuple, and the immutable `CubicModel` is built only when it is read.
 
 Frequencies are expected in GHz. That keeps the regressor (phi^3, phi^2,
 phi, 1) well conditioned (phi^3 <= ~40 on commodity parts); feeding Hz-scale
@@ -30,6 +30,14 @@ def _check_coefficients(a: float, b: float, c: float, d: float) -> None:
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
         name = next(n for n, v in zip("abcd", (a, b, c, d)) if not isfinite(v))
         raise ValueError(f"coefficient {name} must be finite")
+
+
+def _slope(x: tuple[float, float, float, float], phi: float) -> float:
+    """Slope dP/dphi, watts per GHz, of the cubic x = (a, b, c, d) at phi."""
+    if not isfinite(phi):
+        raise ValueError("frequency must be finite")
+    a, b, c, _ = x
+    return (3.0 * a * phi + 2.0 * b) * phi + c
 
 
 class _Coefficients(NamedTuple):
@@ -54,11 +62,7 @@ class CubicModel(Checked, _Coefficients):
         _check_coefficients(a, b, c, d)
         return tuple.__new__(cls, (a, b, c, d))
 
-    def derivative(self, phi: float) -> float:
-        """Model slope dP/dphi at frequency phi, watts per GHz."""
-        if not isfinite(phi):
-            raise ValueError("frequency must be finite")
-        return (3.0 * self.a * phi + 2.0 * self.b) * phi + self.c
+    derivative = _slope
 
     @classmethod
     def from_array(cls, x: Iterable[float]) -> "CubicModel":
@@ -71,8 +75,9 @@ class RlsEstimator:
 
     forgetting is the exponential down-weighting factor in (0, 1]; 1 means
     ordinary least squares. p0 scales the initial covariance: large values
-    make the first measurements dominate the prior. `model` is the current
-    CubicModel, and `coefficients` the same four numbers as a plain tuple.
+    make the first measurements dominate the prior. `coefficients` is the
+    current fit as a plain tuple (a, b, c, d), and `model` the same four
+    numbers as a CubicModel, built when read.
     """
 
     def __init__(self, forgetting: float, p0: float, x0: Iterable[float] | None = None):
@@ -81,12 +86,22 @@ class RlsEstimator:
         if not (isfinite(p0) and p0 > 0.0):
             raise ValueError("p0 must be positive")
         self.forgetting = forgetting
-        self.model = CubicModel() if x0 is None else CubicModel.from_array(x0)
+        prior = CubicModel() if x0 is None else CubicModel.from_array(x0)
         # A plain tuple unpacks faster than the named tuple.
-        self.coefficients = tuple(self.model)
+        self.coefficients = tuple(prior)
         # Upper triangle of P, row by row: p00 p01 p02 p03 p11 p12 p13 p22 p23 p33.
         self._p = (p0, 0.0, 0.0, 0.0, p0, 0.0, 0.0, p0, 0.0, p0)
         self.sample_count = 0
+
+    @property
+    def model(self) -> CubicModel:
+        """The current fit as a CubicModel."""
+        # The coefficients were checked when they were set.
+        return tuple.__new__(CubicModel, self.coefficients)
+
+    def derivative(self, phi: float) -> float:
+        """Slope dP/dphi of the current fit at frequency phi, watts per GHz."""
+        return _slope(self.coefficients, phi)
 
     @property
     def P(self) -> tuple[tuple[float, ...], ...]:
@@ -97,12 +112,13 @@ class RlsEstimator:
                 (p02, p12, p22, p23),
                 (p03, p13, p23, p33))
 
-    def update(self, phi: float, power: float) -> CubicModel:
+    def update(self, phi: float, power: float) -> "RlsEstimator":
         """Fold one (frequency, measured power) sample into the estimate.
 
-        With g = P h, the model moves by g (power - h.x) / (lam + h.g) and
-        P becomes (P - g g' / (lam + h.g)) / lam. Returns the new model,
-        which the estimator keeps as `model`. The state is untouched if the
+        With g = P h, the coefficients move by g (power - h.x) / (lam + h.g)
+        and P becomes (P - g g' / (lam + h.g)) / lam. Returns the estimator
+        itself, so the slope at the sample reads as
+        `update(phi, power).derivative(phi)`. The state is untouched if the
         inputs are rejected or the update is degenerate.
         """
         if not (isfinite(phi) and phi > 0.0):
@@ -130,13 +146,11 @@ class RlsEstimator:
         # still sum past the float range, and then it finds none.
         if not isfinite(a + b + c + d):
             _check_coefficients(a, b, c, d)
-        self.coefficients = x = a, b, c, d
-        # Checked just above, so the model skips CubicModel.__new__'s check.
-        self.model = tuple.__new__(CubicModel, x)
+        self.coefficients = a, b, c, d
         self._p = ((p00 - k0 * g0) / lam, (p01 - k0 * g1) / lam,
                    (p02 - k0 * g2) / lam, (p03 - k0 * g3) / lam,
                    (p11 - k1 * g1) / lam, (p12 - k1 * g2) / lam,
                    (p13 - k1 * g3) / lam, (p22 - k2 * g2) / lam,
                    (p23 - k2 * g3) / lam, (p33 - k3 * g3) / lam)
         self.sample_count += 1
-        return self.model
+        return self

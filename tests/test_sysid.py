@@ -127,9 +127,9 @@ class TestUpdate:
         # Every new coefficient is finite but a + b is inf: the update's one
         # finiteness test on the sum must not refuse it.
         est = RlsEstimator(0.98, 1e3, CubicModel(a, b, 0.0, 0.0))
-        model = est.update(0.5, power)
-        assert all(math.isfinite(v) for v in model)
-        assert not math.isfinite(sum(model))
+        est.update(0.5, power)
+        assert all(math.isfinite(v) for v in est.coefficients)
+        assert not math.isfinite(sum(est.coefficients))
         assert est.sample_count == 1
 
     def test_degenerate_covariance_is_named_and_leaves_state(self):
@@ -151,6 +151,7 @@ class TestUpdate:
         est = RlsEstimator(lam, p0)
         for phi, y in samples:
             est.update(phi, y)
+            assert est.derivative(phi) == est.model.derivative(phi)
         x, p = textbook_rls(samples, lam, p0)
         got, cov = np.array(est.model), np.array(est.P)
         assert np.max(np.abs(got - x)) <= 1e-7 * np.max(np.abs(x))
@@ -207,20 +208,28 @@ class TestForgetting:
         assert errors[switch + 50] < 0.02 * errors[switch + 1]
 
 
-class TestCubicModel:
-    def test_derivative_values(self):
-        assert CubicModel(1, 0, 0, 0).derivative(2.0) == 12.0
-        assert CubicModel(2, 0, 1, 5).derivative(1.0) == 7.0
+# Both answer `derivative` with the one slope formula: the model for its own
+# coefficients, the estimator for its current fit, which starts at x0.
+slope_owners = pytest.mark.parametrize(
+    "make", [CubicModel, lambda *x: RlsEstimator(0.98, 1e3, CubicModel(*x))],
+    ids=["CubicModel", "RlsEstimator"])
 
-    def test_derivative_matches_central_difference(self):
+
+class TestCubicModel:
+    @slope_owners
+    def test_derivative_values(self, make):
+        assert make(1, 0, 0, 0).derivative(2.0) == 12.0
+        assert make(2, 0, 1, 5).derivative(1.0) == 7.0
+
+    @slope_owners
+    def test_derivative_matches_central_difference(self, make):
         rng = random.Random(3)
         h = 1e-4
         for _ in range(50):
-            m = CubicModel(rng.uniform(-3, 3), rng.uniform(-3, 3),
-                           rng.uniform(-3, 3), rng.uniform(-3, 3))
+            x = [rng.uniform(-3, 3) for _ in range(4)]
             phi = rng.uniform(0.5, 3.5)
-            fd = (np.polyval(m, phi + h) - np.polyval(m, phi - h)) / (2.0 * h)
-            assert m.derivative(phi) == pytest.approx(fd, abs=1e-6)
+            fd = (np.polyval(x, phi + h) - np.polyval(x, phi - h)) / (2.0 * h)
+            assert make(*x).derivative(phi) == pytest.approx(fd, abs=1e-6)
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -241,12 +250,13 @@ class TestCubicModel:
         assert CubicModel() == CubicModel(0.0, 0.0, 0.0, 0.0)
         assert repr(m) == "CubicModel(a=1.0, b=2.0, c=3.0, d=4.0)"
 
-    def test_update_returns_a_cubic_model(self):
+    def test_update_returns_the_estimator_and_model_reads_its_fit(self):
         est = RlsEstimator(0.98, 1e3)
-        m = est.update(2.0, 5.0)
-        assert type(m) is CubicModel and m is est.model
-        assert CubicModel.from_array(np.array(m)) == m
+        assert est.update(2.0, 5.0) is est
+        assert type(est.model) is CubicModel and est.model == est.coefficients
+        assert CubicModel.from_array(np.array(est.model)) == est.model
 
-    def test_rejects_non_finite_phi(self):
-        with pytest.raises(ValueError):
-            CubicModel(1, 1, 1, 1).derivative(math.nan)
+    @slope_owners
+    def test_rejects_non_finite_phi(self, make):
+        with pytest.raises(ValueError, match="frequency must be finite"):
+            make(1, 1, 1, 1).derivative(math.nan)

@@ -40,9 +40,7 @@ def gain(deriv_estimate: float, deriv_floor: float = DEFAULT_DERIV_FLOOR) -> flo
         raise ValueError(_ESTIMATE_MESSAGE)
     if not _FLOOR_MIN <= deriv_floor <= _FLOOR_MAX:
         raise ValueError("deriv_floor must be a positive, finite, normal float")
-    # max(deriv_estimate, deriv_floor), without the cost of a builtin call:
-    # two-argument max keeps its first item unless the second is greater.
-    return 1.0 / (deriv_floor if deriv_floor > deriv_estimate else deriv_estimate)
+    return 1.0 / max(deriv_estimate, deriv_floor)
 
 
 def tracking_error(target: float, measured: float) -> float:
@@ -105,6 +103,8 @@ class IntegralController:
             raise ValueError(_ESTIMATE_MESSAGE)
         floor = self._floor
         base = self.u_prev if self.projected_state else self._u_raw
+        # gain's max(deriv_estimate, floor), by one comparison and no builtin
+        # call: two-argument max keeps its first item unless the second is greater.
         g = 1.0 / (floor if floor > deriv_estimate else deriv_estimate)
         raw = base + g * e
         u = self.omega.project(raw)

@@ -103,13 +103,7 @@ class FrequencyRange(Checked, _Bounds):
         """Clamp a real-valued frequency command into the range."""
         if not isfinite(u):
             raise ValueError(f"cannot project non-finite frequency {u!r}")
-        # min(max(u, lo), hi) by comparisons, without two builtin calls:
-        # max keeps its first item unless the second is greater, min unless
-        # the second is less.
-        lo, hi = self.min_level, self.max_level
-        if lo > u:
-            u = lo
-        return hi if hi < u else u
+        return min(max(u, self.min_level), self.max_level)
 
 
 def check_frequency(phi: float, omega: FrequencySet | FrequencyRange) -> None:

@@ -19,7 +19,7 @@ import csv
 import math
 import re
 from array import array
-from struct import Struct, error as StructError
+from struct import Struct
 from typing import Iterable, Iterator, NamedTuple
 
 from ._record import Checked
@@ -76,8 +76,7 @@ class Trace:
     reads one numeric field of them all without building any. Two traces are
     equal when they hold the same flags and the same numbers bit for bit, so
     nan equals nan and -0.0 differs from 0.0 (the two write different CSV
-    text); a trace compares with any other sequence of records as that
-    sequence packed.
+    text); a trace equals no other kind of object.
     """
 
     __slots__ = ("_numbers", "_settled")
@@ -110,10 +109,7 @@ class Trace:
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
-            try:
-                other = Trace(other)
-            except (TypeError, ValueError, StructError):  # not a sequence of records
-                return NotImplemented
+            return NotImplemented
         return (self._settled == other._settled
                 and self._numbers.tobytes() == other._numbers.tobytes())
 

@@ -10,7 +10,7 @@ the symmetric 4x4 covariance P is held as its 10 unique entries (upper
 triangle, row by row) and each step is unrolled, with no array library.
 P stays symmetric by construction. The update keeps the coefficients as a
 plain tuple and builds no model: the loop reads the slope straight from
-that tuple, and the immutable `CubicModel` is built only when it is read.
+that tuple.
 
 Frequencies are expected in GHz. That keeps the regressor (phi^3, phi^2,
 phi, 1) well conditioned (phi^3 <= ~40 on commodity parts); feeding Hz-scale
@@ -76,8 +76,7 @@ class RlsEstimator:
     forgetting is the exponential down-weighting factor in (0, 1]; 1 means
     ordinary least squares. p0 scales the initial covariance: large values
     make the first measurements dominate the prior. `coefficients` is the
-    current fit as a plain tuple (a, b, c, d), and `model` the same four
-    numbers as a CubicModel, built when read.
+    current fit as a plain tuple (a, b, c, d).
     """
 
     def __init__(self, forgetting: float, p0: float, x0: Iterable[float] | None = None):
@@ -91,13 +90,6 @@ class RlsEstimator:
         self.coefficients = tuple(prior)
         # Upper triangle of P, row by row: p00 p01 p02 p03 p11 p12 p13 p22 p23 p33.
         self._p = (p0, 0.0, 0.0, 0.0, p0, 0.0, 0.0, p0, 0.0, p0)
-        self.sample_count = 0
-
-    @property
-    def model(self) -> CubicModel:
-        """The current fit as a CubicModel."""
-        # The coefficients were checked when they were set.
-        return tuple.__new__(CubicModel, self.coefficients)
 
     def derivative(self, phi: float) -> float:
         """Slope dP/dphi of the current fit at frequency phi, watts per GHz."""
@@ -152,5 +144,4 @@ class RlsEstimator:
                    (p11 - k1 * g1) / lam, (p12 - k1 * g2) / lam,
                    (p13 - k1 * g3) / lam, (p22 - k2 * g2) / lam,
                    (p23 - k2 * g3) / lam, (p33 - k3 * g3) / lam)
-        self.sample_count += 1
         return self

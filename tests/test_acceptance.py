@@ -97,7 +97,7 @@ def test_rls_oracle_equivalence():
     for phi, y in zip(phis, ys):
         est.update(phi, y)
     expected = batch_cubic_fit(phis, ys)
-    rel = np.max(np.abs(np.array(est.model) - expected)) / np.max(np.abs(expected))
+    rel = np.max(np.abs(np.array(est.coefficients) - expected)) / np.max(np.abs(expected))
     ok = rel <= 1e-8
     report(f"RLS vs batch least squares (rel dev {rel:.2e})", ok)
 

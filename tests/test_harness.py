@@ -310,6 +310,51 @@ class TestRunExperiment:
         assert held / len(trace) <= 100
 
 
+# Each benchmark config at seed 1, and the steady-band config of
+# test_acceptance.py (constant activity, kappa = 0, 6.8 W) at four counter
+# phases; all 4 s long.
+LAW_CONFIGS = [
+    pytest.param({"workload.kind": kind, "cycle_ms": str(cycle_ms), "seed": "1"},
+                 id=f"{kind}@{cycle_ms}")
+    for kind, cycle_ms in BENCHMARK_TRACE_DIGESTS
+] + [
+    pytest.param({"plant.kappa": "0", "target_w": "6.8", "plant.counter_phase": phase},
+                 id=f"band@phase{phase}")
+    for phase in ("0", "0.25", "0.5", "0.75")
+]
+
+
+@pytest.mark.parametrize("projected", [True, False], ids=["projected", "raw"])
+@pytest.mark.parametrize("pairs", LAW_CONFIGS)
+def test_trace_replays_its_own_law(pairs, projected):
+    # Each row's error and gain are those its power and slope give, and the
+    # next row's frequency is the one they command: from the row's own
+    # frequency under the projected law, from the running unprojected sum
+    # under the raw law. All bit for bit.
+    cfg = config_from_pairs({**pairs, "duration_ms": "4000",
+                             "controller.projected_state": str(projected).lower()})
+    trace = run_experiment(cfg)
+    omega = cfg.frequency_set()
+    raw = cfg.u0
+    for k, rec in enumerate(trace):
+        assert rec.error_w.hex() == (rec.target_w - rec.power_w).hex()
+        assert rec.gain.hex() == gain(rec.deriv_est, cfg.deriv_floor).hex()
+        raw = (rec.freq_ghz if projected else raw) + rec.gain * rec.error_w
+        if k + 1 < len(trace):
+            assert trace[k + 1].freq_ghz.hex() == omega.project(raw).hex()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rerunning_a_config_replays_its_workload(kind):
+    # A second run of the same config object restarts its profile at t = 0,
+    # which replays the profile's streams from their start.
+    cfg = config_from_pairs({"workload.kind": kind, "duration_ms": "2000", "seed": "3"})
+    first = run_experiment(cfg)
+    assert run_experiment(cfg) == first
+    longer = run_experiment(cfg._replace(duration_ms=4000.0))
+    assert Trace(longer[:len(first)]) == first
+
+
 @settings(max_examples=100, deadline=None)
 @given(records=RECORD_LISTS, data=st.data())
 def test_trace_is_a_sequence_of_its_records(records, data):
@@ -327,12 +372,11 @@ def test_trace_is_a_sequence_of_its_records(records, data):
     window = data.draw(st.slices(n))
     assert type(trace[window]) is list
     assert repr(trace[window]) == repr(records[window])
-    assert trace == records and records == trace and trace == Trace(records)
-    assert trace != ["not a record"]
+    assert trace == Trace(records) and trace != records  # equal only to a Trace
     if records:
         last = records[-1]
-        assert trace != records[:-1] + [last._replace(settled=not last.settled)]
-        assert trace != records[:-1]
+        assert trace != Trace(records[:-1] + [last._replace(settled=not last.settled)])
+        assert trace != Trace(records[:-1])
 
 
 class TestSettlingTime:
@@ -439,10 +483,10 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_csv(trace, str(path))
         assert path.read_bytes() == reference_csv(trace).encode()
-        assert read_csv(str(path)) == [
+        assert read_csv(str(path)) == Trace(
             TraceRecord(*[float(format(getattr(rec, name), ".6g")) for name in CSV_COLUMNS[:-1]],
                         settled=rec.settled)
-            for rec in trace]
+            for rec in trace)
 
     @pytest.mark.parametrize("kind, cycle_ms", BENCHMARK_TRACE_DIGESTS)
     def test_benchmark_trace_digests_are_pinned(self, tmp_path, kind, cycle_ms):

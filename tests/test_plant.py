@@ -417,11 +417,7 @@ class TestCubicGroundTruth:
                 plant.advance(10.0)
                 est.update(phi, plant.read_energy() / 10e-3)
             a, b, c, d = true_cubic_coeffs(params, alpha)
-            got = est.model
-            assert got.a == pytest.approx(a, abs=1e-6)
-            assert got.b == pytest.approx(b, abs=1e-6)
-            assert got.c == pytest.approx(c, abs=1e-6)
-            assert got.d == pytest.approx(d, abs=1e-6)
+            assert est.coefficients == pytest.approx((a, b, c, d), abs=1e-6)
 
 
 class TestParams:

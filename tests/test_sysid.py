@@ -30,12 +30,11 @@ class TestInit:
     def test_covariance_is_scaled_identity(self):
         est = RlsEstimator(forgetting=0.98, p0=1e3)
         assert np.array_equal(est.P, 1e3 * np.eye(4))
-        assert est.sample_count == 0
-        assert est.model == CubicModel()
+        assert est.coefficients == CubicModel()
 
     def test_prior_model_is_carried(self):
         est = RlsEstimator(forgetting=1.0, p0=1.0, x0=CubicModel(1.0, 0.0, 0.0, 0.0))
-        assert est.model == CubicModel(1.0, 0.0, 0.0, 0.0)
+        assert est.coefficients == CubicModel(1.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("lam", [1.5, 0.0, -0.1, float("nan")])
     def test_rejects_bad_forgetting(self, lam):
@@ -68,14 +67,14 @@ class TestUpdate:
             for phi, y in zip(FIVE_PHIS, ys):
                 est.update(phi, y)
             expected = batch_cubic_fit(FIVE_PHIS, ys, 1.0, p0=p0, x0=x0)
-            assert np.array(est.model) == pytest.approx(expected, abs=1e-10)
+            assert np.array(est.coefficients) == pytest.approx(expected, abs=1e-10)
 
     def test_noiseless_cube_recovery(self):
         # with a weak prior the estimate lands on the generating cubic
         est = RlsEstimator(forgetting=1.0, p0=1e9)
         for phi in FIVE_PHIS:
             est.update(phi, phi**3)
-        assert np.array(est.model) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-6)
+        assert np.array(est.coefficients) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-6)
 
     def test_single_update_is_gain_times_measurement(self):
         p0, lam, phi, power = 1e3, 1.0, 2.0, 9.0
@@ -83,8 +82,7 @@ class TestUpdate:
         est.update(phi, power)
         h = np.array([phi**3, phi**2, phi, 1.0])
         k = (p0 * h) / (lam + p0 * (h @ h))
-        assert np.array(est.model) == pytest.approx(k * power, rel=1e-12)
-        assert est.sample_count == 1
+        assert np.array(est.coefficients) == pytest.approx(k * power, rel=1e-12)
 
     def test_forgetting_recovery_of_known_cubic(self):
         truth = CubicModel(2.0, 0.5, 1.0, 3.0)
@@ -96,30 +94,28 @@ class TestUpdate:
         # weighted batch solve as the oracle; with noiseless data it equals
         # the generating coefficients
         oracle = batch_cubic_fit(phis, ys, 0.98, p0=1e8)
-        assert np.array(est.model) == pytest.approx(oracle, abs=1e-9)
-        assert np.array(est.model) == pytest.approx([2.0, 0.5, 1.0, 3.0], abs=1e-4)
+        assert np.array(est.coefficients) == pytest.approx(oracle, abs=1e-9)
+        assert np.array(est.coefficients) == pytest.approx([2.0, 0.5, 1.0, 3.0], abs=1e-4)
 
     def test_state_unchanged_on_bad_input(self):
         est = RlsEstimator(forgetting=0.98, p0=1e3)
         est.update(2.0, 5.0)
-        x, p, n = est.model, est.P, est.sample_count
+        x, p = est.coefficients, est.P
         for phi, power in [(float("nan"), 1.0), (-1.0, 1.0), (0.0, 1.0),
                            (2.0, float("inf"))]:
             with pytest.raises(ValueError):
                 est.update(phi, power)
-        assert est.model == x
+        assert est.coefficients == x
         assert est.P == p
-        assert est.sample_count == n
 
     def test_overflowing_update_is_named_and_leaves_state(self):
         # the new coefficient a is -inf: the update is refused before P moves
         est = RlsEstimator(0.98, 1e3, CubicModel(1e307, 0, 0, 0))
-        x, p = est.model, est.P
+        x, p = est.coefficients, est.P
         with pytest.raises(ValueError, match="coefficient a must be finite"):
             est.update(3.4, -1e308)
-        assert est.model == x
+        assert est.coefficients == x
         assert est.P == p
-        assert est.sample_count == 0
 
     @given(a=st.floats(1.2e308, 1.7e308), b=st.floats(1.2e308, 1.7e308),
            power=st.floats(0.0, 20.0))
@@ -130,17 +126,15 @@ class TestUpdate:
         est.update(0.5, power)
         assert all(math.isfinite(v) for v in est.coefficients)
         assert not math.isfinite(sum(est.coefficients))
-        assert est.sample_count == 1
 
     def test_degenerate_covariance_is_named_and_leaves_state(self):
         # p0 * h'h overflows: lambda + h'Ph is inf on the first sample
         est = RlsEstimator(0.98, 1e307)
-        x, p = est.model, est.P
+        x, p = est.coefficients, est.P
         with pytest.raises(ValueError, match="RLS covariance"):
             est.update(3.4, 10.0)
-        assert est.model == x
+        assert est.coefficients == x
         assert est.P == p
-        assert est.sample_count == 0
 
     @settings(max_examples=200, deadline=None)
     @given(lam=st.floats(0.9, 1.0), p0=st.floats(1.0, 1e4),
@@ -151,9 +145,9 @@ class TestUpdate:
         est = RlsEstimator(lam, p0)
         for phi, y in samples:
             est.update(phi, y)
-            assert est.derivative(phi) == est.model.derivative(phi)
+            assert est.derivative(phi) == CubicModel(*est.coefficients).derivative(phi)
         x, p = textbook_rls(samples, lam, p0)
-        got, cov = np.array(est.model), np.array(est.P)
+        got, cov = np.array(est.coefficients), np.array(est.P)
         assert np.max(np.abs(got - x)) <= 1e-7 * np.max(np.abs(x))
         assert cov.shape == (4, 4)
         assert np.array_equal(cov, cov.T)
@@ -176,7 +170,7 @@ class TestOracleEquivalence:
                 est.update(phi, y)
             expected = batch_cubic_fit(phis, ys)
             scale = np.max(np.abs(expected))
-            assert np.max(np.abs(np.array(est.model) - expected)) <= 1e-8 * scale
+            assert np.max(np.abs(np.array(est.coefficients) - expected)) <= 1e-8 * scale
 
     def test_covariance_stays_symmetric_and_positive_definite(self):
         rng = random.Random(7)
@@ -202,7 +196,7 @@ class TestForgetting:
             phi = rng.uniform(0.8, 3.4)
             y = np.polyval(truth, phi)
             est.update(phi, y)
-            errors.append(abs(np.polyval(est.model, phi) - y))
+            errors.append(abs(np.polyval(est.coefficients, phi) - y))
         assert errors[switch + 50] < errors[switch + 1]
         # forgetting has washed out the old regime almost entirely by then
         assert errors[switch + 50] < 0.02 * errors[switch + 1]
@@ -250,11 +244,11 @@ class TestCubicModel:
         assert CubicModel() == CubicModel(0.0, 0.0, 0.0, 0.0)
         assert repr(m) == "CubicModel(a=1.0, b=2.0, c=3.0, d=4.0)"
 
-    def test_update_returns_the_estimator_and_model_reads_its_fit(self):
+    def test_update_returns_the_estimator(self):
         est = RlsEstimator(0.98, 1e3)
         assert est.update(2.0, 5.0) is est
-        assert type(est.model) is CubicModel and est.model == est.coefficients
-        assert CubicModel.from_array(np.array(est.model)) == est.model
+        assert type(est.coefficients) is tuple
+        assert CubicModel.from_array(np.array(est.coefficients)) == est.coefficients
 
     @slope_owners
     def test_rejects_non_finite_phi(self, make):

@@ -20,14 +20,16 @@ last grid instant it crosses, the only one a read can see and so the one at
 which the counter is snapshotted. The step's coefficients are plant state,
 recomputed only when they can change: when `apply_frequency` changes the
 frequency, and at each activity event. `advance` just reads them. The part
-that depends on frequency alone is recomputed when the frequency changes.
+that depends on frequency alone is computed for every ladder level at
+construction, so a change of level looks it up; on a continuous range it is
+computed when the frequency changes.
 The class implements the same apply/advance/read seam a hardware driver would.
 """
 
 from __future__ import annotations
 
-import math
 import random
+from math import ceil, expm1, inf, isfinite
 from typing import NamedTuple
 
 from ._record import Checked
@@ -79,7 +81,7 @@ class PlantParams(Checked, _PlantFields):
             if not ok:
                 raise ValueError(msg)
         for name, value in zip(self._fields, self):
-            if not math.isfinite(value):
+            if not isfinite(value):
                 raise ValueError(f"{name} must be finite")
         return self
 
@@ -123,7 +125,12 @@ class Plant:
         check_frequency(u0, omega)
         # beta falls as phi rises (see _freq_coefficients), also in floats, as
         # each operation rounds monotonically: the top level runs away first.
+        # So this one check covers a range; on a ladder, whose levels are all
+        # computed below, it makes the error name the top level.
         _freq_coefficients(params, omega.max_level)
+        # Every ladder level's coefficients, computed once; a range has none.
+        self._level_parts = ({level: _freq_coefficients(params, level) for level in omega.levels}
+                             if isinstance(omega, FrequencySet) else {})
         self.freq = u0
         self._freq_part = _freq_coefficients(params, u0)
         self.temp = params.t_amb
@@ -137,7 +144,7 @@ class Plant:
             # A phase that rounds up to a whole grid period is phase 0.
             self._phase_us = int(round(counter_phase_ms * 1000.0)) % _GRID_US
         self._clock_us = 0
-        self._sample_alpha(0)
+        self._retune(0)
 
     # -- contract surface -------------------------------------------------
 
@@ -147,14 +154,22 @@ class Plant:
 
     def apply_frequency(self, phi: float) -> None:
         """Command a frequency; it takes effect from the next `advance`."""
-        # The running level was checked when it was applied. The type test
-        # sends True (== 1.0) and NaN (== nothing) on to the check.
-        if type(phi) is float and phi == self.freq:
-            return
-        check_frequency(phi, self.omega)
+        # The running level was checked when it was applied, and a ladder
+        # level is looked up. Anything else is checked and computed: the type
+        # test sends an int and True (== 1.0) on to the check, and NaN equals
+        # no level.
+        if type(phi) is float:
+            if phi == self.freq:
+                return
+            part = self._level_parts.get(phi)
+        else:
+            part = None
+        if part is None:
+            check_frequency(phi, self.omega)
+            part = _freq_coefficients(self.params, phi)
         self.freq = phi
-        self._freq_part = _freq_coefficients(self.params, phi)
-        self._step = self._step_coefficients()
+        self._freq_part = part
+        self._retune()
 
     def read_energy(self) -> float:
         """Energy counter value: last grid-aligned snapshot, joules."""
@@ -162,7 +177,7 @@ class Plant:
 
     def advance(self, dt_ms: float) -> None:
         """Advance simulated time by dt_ms milliseconds."""
-        if not (math.isfinite(dt_ms) and dt_ms > 0.0):
+        if not (isfinite(dt_ms) and dt_ms > 0.0):
             raise ValueError("dt_ms must be positive and finite")
         dt_us = round(dt_ms * 1000.0)  # an int: round of one float
         if dt_us < 1:
@@ -172,14 +187,13 @@ class Plant:
         # The last grid instant at or before end_us; earlier ones are
         # overwritten before anyone can read them.
         snap_us = end_us - (end_us - self._phase_us) % _GRID_US
-        t_amb, tau = self._t_amb, self._tau
+        t_amb, tau, event_us = self._t_amb, self._tau, self._next_alpha_us
         q, x_inf, g_tau, beta, nbeta = self._step
         while clock < end_us:
             stop_us = snap_us if clock < snap_us else end_us
-            event_us = self._next_alpha_us
             seg_us = event_us if event_us < stop_us else stop_us
             t_ms = (seg_us - clock) * 1e-3
-            dx = (x_inf - (temp - t_amb)) * -math.expm1(nbeta * t_ms / tau)
+            dx = (x_inf - (temp - t_amb)) * -expm1(nbeta * t_ms / tau)
             # kappa >= 0 and temp >= t_amb keep power >= q > 0: no clamp needed.
             # Energy from tau*dx = r_th*E - integral(x dt), in mJ, then J.
             energy += (q * t_ms - g_tau * dx) / beta * 1e-3
@@ -188,25 +202,31 @@ class Plant:
             if clock == snap_us:
                 self.counter_joules = energy
             if clock == event_us:
-                self._sample_alpha(clock)
+                event_us = self._retune(clock)
                 q, x_inf, g_tau, beta, nbeta = self._step
         self._clock_us, self.temp, self.energy_acc = clock, temp, energy
 
     # -- internals ---------------------------------------------------------
 
-    def _step_coefficients(self) -> tuple[float, float, float, float, float]:
-        """(q, x_inf, g*tau, beta, -beta) at the current operating point."""
+    def _retune(self, now: int | None = None) -> int:
+        """Recompute the step coefficients (q, x_inf, g*tau, beta, -beta) and
+        return the time of alpha's next change, us.
+
+        At an activity event, at time now (us), alpha is sampled first and its
+        next change scheduled after. A frequency change passes no time: alpha
+        and the schedule stay. Both share this method so that q is written
+        once and an event makes one call.
+        """
+        if now is not None:
+            t_ms, profile = now / 1000.0, self.profile
+            self.alpha = profile.sample_alpha(t_ms)
         v, sv, g_tau, beta, nbeta = self._freq_part
         q = self.alpha * self._cap * v * v * self.freq + sv
-        return q, self._r_th * q / beta, g_tau, beta, nbeta
-
-    def _sample_alpha(self, now: int) -> None:
-        """Sample alpha at time now, us, update the step coefficients and
-        schedule alpha's next change."""
-        t_ms, profile = now / 1000.0, self.profile
-        self.alpha = profile.sample_alpha(t_ms)
-        self._step = self._step_coefficients()
+        self._step = q, self._r_th * q / beta, g_tau, beta, nbeta
+        if now is None:
+            return self._next_alpha_us
         # Up to the next whole us, and at least 1 us on; inf stays inf.
         nxt = profile.next_change_ms(t_ms) * 1000.0
-        nxt_us = math.ceil(nxt) if nxt < math.inf else nxt
-        self._next_alpha_us = nxt_us if nxt_us > now else now + 1
+        nxt_us = ceil(nxt) if nxt < inf else nxt
+        self._next_alpha_us = nxt_us = nxt_us if nxt_us > now else now + 1
+        return nxt_us

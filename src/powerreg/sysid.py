@@ -85,9 +85,10 @@ class RlsEstimator:
         if not (isfinite(p0) and p0 > 0.0):
             raise ValueError("p0 must be positive")
         self.forgetting = forgetting
-        prior = CubicModel() if x0 is None else CubicModel.from_array(x0)
+        if not isinstance(x0, CubicModel):  # a CubicModel was checked when built
+            x0 = CubicModel() if x0 is None else CubicModel.from_array(x0)
         # A plain tuple unpacks faster than the named tuple.
-        self.coefficients = tuple(prior)
+        self.coefficients = tuple(x0)
         # Upper triangle of P, row by row: p00 p01 p02 p03 p11 p12 p13 p22 p23 p33.
         self._p = (p0, 0.0, 0.0, 0.0, p0, 0.0, 0.0, p0, 0.0, p0)
 

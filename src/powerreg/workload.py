@@ -18,16 +18,18 @@ One generator merges the two processes, leaving out each one that cannot
 change alpha, into alpha's constant segments (start, end, alpha). A profile
 keeps only the generator and its current segment, so its memory does not
 grow with simulated time, and answers both of the plant's questions at an
-activity change, alpha and the next change, from that segment. A query past
-the segment pulls the generator forward. A query before it replays the
-streams from t = 0 in a fresh generator, so two consumers that advance in
-lockstep should each have their own profile.
+activity change, alpha and the next change, from that segment. Moving the
+segment is `sample_alpha`'s work: a query past the segment pulls the
+generator forward, and a query before it replays the streams from t = 0 in a
+fresh generator, so two consumers that advance in lockstep should each have
+their own profile.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from math import inf
 from operator import attrgetter
 
 # Preset knobs per profile kind. These are calibration values chosen so the
@@ -65,7 +67,7 @@ def _segments(alpha_mean: float, alpha_jitter: float, switch_period_ms: float,
     """
     log1p = math.log1p
     level, stalled = alpha_mean, False
-    lv_end = st_end = math.inf
+    lv_end = st_end = inf
     if alpha_jitter > 0.0:
         lv_draw, lv_end = random.Random(f"{seed}:levels").random, 0.0
     if stall_fraction > 0.0 and stall_alpha_scale < 1.0:
@@ -172,22 +174,24 @@ class WorkloadProfile:
     def _replace(self, /, **changes: object) -> "WorkloadProfile":
         return WorkloadProfile(**{**self._asdict(), **changes})
 
-    def _seek(self, t_ms: float) -> None:
-        """Make the cached segment the one that covers t_ms."""
-        if not 0.0 <= t_ms < math.inf:
+    def _rewind(self, t_ms: float) -> None:
+        """Restart the walk from t = 0, for a query before the cached segment."""
+        if not 0.0 <= t_ms < inf:
             raise ValueError(f"time must be finite and non-negative, got {t_ms!r}")
-        seg = self._seg
-        if t_ms < seg[0]:  # replay the streams from t = 0
-            object.__setattr__(self, "_walk", _segments(*_field_values(self)[1:]))
-        for seg[:] in self._walk:
-            if t_ms < seg[1]:
-                return
+        walk = _segments(*_field_values(self)[1:])
+        object.__setattr__(self, "_walk", walk)
+        self._seg[:] = next(walk)
 
     def sample_alpha(self, t_ms: float) -> float:
         """Activity factor at time t_ms; pure function of (profile, t_ms)."""
         seg = self._seg
-        if not seg[0] <= t_ms < seg[1]:
-            self._seek(t_ms)
+        # NaN fails every comparison, so it is rewound, and refused there.
+        if not seg[0] <= t_ms < inf:
+            self._rewind(t_ms)
+        if seg[1] <= t_ms:
+            for seg[:] in self._walk:
+                if t_ms < seg[1]:
+                    break
         return seg[2]
 
     def next_change_ms(self, t_ms: float) -> float:
@@ -198,7 +202,7 @@ class WorkloadProfile:
         """
         seg = self._seg
         if not seg[0] <= t_ms < seg[1]:
-            self._seek(t_ms)
+            self.sample_alpha(t_ms)
         return seg[1]
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -171,6 +172,36 @@ class TestRawStateVariant:
         raw = IntegralController(DEFAULT_OMEGA, u0=2.0, projected_state=False)
         # one step from a common state is identical
         assert proj.step(10.0, 8.0, 4.0) == raw.step(10.0, 8.0, 4.0)
+
+
+class CountingOmega:
+    """A frequency set or range seen only through `project` and `in`, with no
+    __getattr__, as the benchmark's timing proxy sees it; counts projections."""
+
+    def __init__(self, omega):
+        self._omega = omega
+        self.project_calls = 0
+
+    def __contains__(self, value):
+        return value in self._omega
+
+    def project(self, u):
+        self.project_calls += 1
+        return self._omega.project(u)
+
+
+@pytest.mark.parametrize("omega", [DEFAULT_OMEGA, FrequencyRange(0.8, 3.4)])
+def test_controller_reads_omega_only_through_project_and_in(omega):
+    counting = CountingOmega(omega)
+    rng = random.Random(4)
+    steps = [(rng.uniform(2.0, 12.0), rng.uniform(2.0, 12.0), rng.uniform(-1.0, 8.0))
+             for _ in range(100)]
+    paths = []
+    for domain in (counting, omega):
+        ctrl = IntegralController(domain, u0=2.0)
+        paths.append([ctrl.step(*step) for step in steps])
+    assert paths[0] == paths[1]
+    assert counting.project_calls == len(steps)
 
 
 def test_deriv_floor_is_read_only():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -79,8 +80,29 @@ class TestApplyFrequency:
     def test_off_ladder_frequency_rejected(self):
         plant = Plant(PlantParams(), constant_profile(), u0=2.0,
                       omega=DEFAULT_OMEGA, counter_phase_ms=0.0)
-        with pytest.raises(ValueError):
-            plant.apply_frequency(0.9)
+        # Between two levels, and one ulp above a level: neither is in the
+        # plant's table of levels, so check_frequency refuses both.
+        for phi in (0.9, math.nextafter(2.2, 3.0)):
+            with pytest.raises(ValueError,
+                               match=f"^frequency {re.escape(repr(phi))} is not a legal level$"):
+                plant.apply_frequency(phi)
+        assert plant.freq == 2.0
+
+    def test_int_level_is_accepted_and_runs_as_its_float(self):
+        # An int misses the table of float levels and goes through the check,
+        # which accepts it; the step it runs is the float level's, bit for bit.
+        plants = []
+        for level in (1, 1.0):
+            plant = Plant(PlantParams(), make_profile("graph_irregular", seed=2),
+                          u0=2.0, omega=DEFAULT_OMEGA, seed=2)
+            plant.advance(7.0)
+            plant.apply_frequency(level)
+            plant.advance(13.0)
+            plants.append(plant)
+        as_int, as_float = plants
+        assert as_int.freq == 1.0
+        assert (as_int.energy_acc, as_int.temp, as_int.read_energy()) == (
+            as_float.energy_acc, as_float.temp, as_float.read_energy())
 
     def test_continuous_mode_accepts_any_positive(self):
         plant = Plant(PlantParams(), constant_profile(), u0=2.0,
@@ -116,13 +138,38 @@ class TestApplyFrequency:
         assert reapplied.read_energy() == plain.read_energy()
 
     def test_running_level_is_rechecked_for_bool_and_nan(self):
-        # True == 1.0, but a bool is not a frequency; NaN equals nothing.
-        plant = Plant(PlantParams(), constant_profile(), u0=1.0,
-                      omega=DEFAULT_OMEGA, counter_phase_ms=0.0)
-        for bad in (True, math.nan):
-            with pytest.raises(ValueError, match="frequency must be positive and finite"):
-                plant.apply_frequency(bad)
-        assert plant.freq == 1.0
+        # True == 1.0, but a bool is not a frequency; NaN equals nothing. At
+        # 1.0 True would pass as the running level, at 2.0 as a table hit.
+        for u0 in (1.0, 2.0):
+            plant = Plant(PlantParams(), constant_profile(), u0=u0,
+                          omega=DEFAULT_OMEGA, counter_phase_ms=0.0)
+            for bad in (True, math.nan):
+                with pytest.raises(ValueError, match="frequency must be positive and finite"):
+                    plant.apply_frequency(bad)
+            assert plant.freq == u0
+
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_ladder_table_matches_computing_each_level(self, seed):
+        # A plant on a range has no table: it computes a level's coefficients
+        # each time the level is applied. Driven through the same levels over
+        # graph_irregular, with activity events between the changes, it must
+        # agree bit for bit with the ladder plant that looks them up.
+        rng = random.Random(seed)
+        schedule = [(rng.randint(1, 15_000), rng.choice(DEFAULT_OMEGA.levels))
+                    for _ in range(150)]
+        assert {level for _, level in schedule} == set(DEFAULT_OMEGA.levels)
+        plants = []
+        for omega in (DEFAULT_OMEGA, FrequencyRange(0.8, 3.4)):
+            plant = Plant(PlantParams(), make_profile("graph_irregular", seed=seed),
+                          u0=2.0, omega=omega, seed=seed)
+            for step_us, level in schedule:
+                plant.advance(step_us / 1000.0)
+                plant.apply_frequency(level)
+            plant.advance(5.0)
+            plants.append(plant)
+        ladder, continuous = plants
+        assert (ladder.energy_acc, ladder.temp, ladder.read_energy()) == (
+            continuous.energy_acc, continuous.temp, continuous.read_energy())
 
     def test_continuous_schedule_energy_matches_quadrature(self):
         # More distinct frequencies than a ladder has, some revisited after
@@ -385,12 +432,14 @@ class CountingProfile:
 
 class TestProfileContract:
     def test_plant_asks_each_question_once_per_activity_change(self):
+        # Frequency changes between the advances ask the profile nothing.
         counting = CountingProfile(make_profile("graph_irregular", seed=5))
         plants = [Plant(PlantParams(), profile, u0=2.0, omega=DEFAULT_OMEGA, seed=5)
                   for profile in (counting, make_profile("graph_irregular", seed=5))]
         for plant in plants:
-            for _ in range(200):
+            for k in range(200):
                 plant.advance(10.0)
+                plant.apply_frequency(DEFAULT_OMEGA.levels[k * 7 % 16])
         wrapped, bare = plants
         assert (wrapped.energy_acc, wrapped.counter_joules, wrapped.temp) == (
             bare.energy_acc, bare.counter_joules, bare.temp)

@@ -7,7 +7,7 @@ thermal, and energy-counter behavior of a multicore part.
 """
 
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
-from .freqset import DEFAULT_LEVELS, DEFAULT_OMEGA, FrequencyRange, FrequencySet
+from .freqset import DEFAULT_LEVELS, DEFAULT_OMEGA, FrequencySet
 from .harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_OMEGA",
     "ErrorSplit",
     "ExperimentConfig",
-    "FrequencyRange",
     "FrequencySet",
     "IntegralController",
     "KINDS",

@@ -3,7 +3,7 @@
 The control law accumulates the tracking error with a gain set to the
 inverse of the plant's estimated power-versus-frequency slope, so each cycle
 takes (approximately) a Newton step toward the frequency whose power matches
-the target. The commanded frequency is projected onto the legal set or range.
+the target. The commanded frequency is projected onto the legal set.
 
 Slope estimates can be non-physical or flat, so they are clamped from below
 by a positive floor; that keeps the gain positive and bounded and the
@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from math import isfinite, nan
 
-from .freqset import FrequencyRange, FrequencySet, check_frequency
+from .freqset import FrequencySet, check_frequency
 
 DEFAULT_DERIV_FLOOR = 0.1  # watts/GHz; binds on 15-20% of cycles (module docstring)
 
@@ -69,7 +69,7 @@ class IntegralController:
 
     def __init__(
         self,
-        omega: FrequencySet | FrequencyRange,
+        omega: FrequencySet,
         u0: float,
         deriv_floor: float = DEFAULT_DERIV_FLOOR,
         projected_state: bool = True,

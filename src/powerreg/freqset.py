@@ -1,8 +1,7 @@
-"""Legal clock frequencies: a ladder of levels, or a continuous range.
+"""Legal clock frequencies: a ladder of levels.
 
-Both kinds offer the same surface to the loop: `project` maps a command to a
-legal frequency, `in` tests legality, and `min_level`/`max_level` give the
-bounds.
+`project` maps a command to a legal level, `in` tests legality, and
+`min_level`/`max_level` give the bounds.
 """
 
 from __future__ import annotations
@@ -73,49 +72,13 @@ class FrequencySet(Checked, _Levels):
         return lo if u - lo <= hi - u else hi
 
 
-class _Bounds(NamedTuple):
-    min_level: float
-    max_level: float
-
-
-class FrequencyRange(Checked, _Bounds):
-    """Closed interval [min_level, max_level] of legal frequencies, in GHz.
-
-    The actuator range of continuous-frequency operation: any frequency in
-    the interval is legal, and commands outside it clamp to the nearest
-    bound.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, min_level: float, max_level: float) -> "FrequencyRange":
-        lo, hi = min_level, max_level
-        if not (isfinite(lo) and isfinite(hi) and 0.0 < lo <= hi):
-            raise ValueError(
-                f"frequency range must be finite and positive with min <= max, "
-                f"got [{lo!r}, {hi!r}]")
-        return tuple.__new__(cls, (lo, hi))
-
-    def __contains__(self, value: float) -> bool:
-        return self.min_level <= value <= self.max_level
-
-    def project(self, u: float) -> float:
-        """Clamp a real-valued frequency command into the range."""
-        if not isfinite(u):
-            raise ValueError(f"cannot project non-finite frequency {u!r}")
-        return min(max(u, self.min_level), self.max_level)
-
-
-def check_frequency(phi: float, omega: FrequencySet | FrequencyRange) -> None:
+def check_frequency(phi: float, omega: FrequencySet) -> None:
     """Reject a frequency that is not positive and finite, or not legal in omega."""
     # bool is an int, and True == 1.0 would pass as a 1 GHz level.
     if not (isinstance(phi, (int, float)) and not isinstance(phi, bool)
             and isfinite(phi) and phi > 0.0):
         raise ValueError(f"frequency must be positive and finite, got {phi!r}")
     if phi not in omega:
-        if isinstance(omega, FrequencyRange):
-            raise ValueError(f"frequency {phi!r} is outside "
-                             f"[{omega.min_level}, {omega.max_level}] GHz")
         raise ValueError(f"frequency {phi!r} is not a legal level")
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple
 from ._record import Checked
 # gain and tracking_error stay bound here for perfbench to swap timing proxies into.
 from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_error
-from .freqset import DEFAULT_LEVELS, FrequencyRange, FrequencySet, check_frequency
+from .freqset import DEFAULT_LEVELS, FrequencySet, check_frequency
 from .plant import Plant, PlantParams
 from .sysid import CubicModel, RlsEstimator
 from .workload import WorkloadProfile, make_profile
@@ -166,7 +166,6 @@ _SCHEMA: tuple[tuple[str, tuple[_Key, ...]], ...] = (
         _Key("cycle_ms", _parse_int, "10"),
         _Key("duration_ms", float, "4000"),
         _Key("omega", _parse_float_list, ",".join(map(str, DEFAULT_LEVELS))),
-        _Key("omega_continuous", _parse_bool, "false"),
         _Key("u0", float, "2.0"),
         _Key("settle_band_frac", float, "0.05"),
         _Key("seed", _parse_int, "1"),
@@ -222,7 +221,6 @@ class _ConfigFields(NamedTuple):
     cycle_ms: int = _DEFAULTS["cycle_ms"]
     duration_ms: float = _DEFAULTS["duration_ms"]
     omega: tuple[float, ...] = _DEFAULTS["omega"]
-    omega_continuous: bool = _DEFAULTS["omega_continuous"]
     u0: float = _DEFAULTS["u0"]
     workload: WorkloadProfile | None = None
     plant: PlantParams = PlantParams()
@@ -253,12 +251,9 @@ class ExperimentConfig(Checked, _ConfigFields):
                 "workload", make_profile, _DEFAULTS["workload.kind"], seed=self.seed))
         return self
 
-    def frequency_set(self) -> FrequencySet | FrequencyRange:
-        """The ladder omega, or in continuous mode the range it spans."""
-        levels = FrequencySet.from_list(self.omega)
-        if self.omega_continuous:
-            return FrequencyRange(levels.min_level, levels.max_level)
-        return levels
+    def frequency_set(self) -> FrequencySet:
+        """The ladder omega, sorted and without duplicates."""
+        return FrequencySet.from_list(self.omega)
 
     def validate(self) -> None:
         """Raise ConfigError for the first setting the loop would reject."""

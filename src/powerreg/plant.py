@@ -20,9 +20,8 @@ last grid instant it crosses, the only one a read can see and so the one at
 which the counter is snapshotted. The step's coefficients are plant state,
 recomputed only when they can change: when `apply_frequency` changes the
 frequency, and at each activity event. `advance` just reads them. The part
-that depends on frequency alone is computed for every ladder level at
-construction, so a change of level looks it up; on a continuous range it is
-computed when the frequency changes.
+that depends on frequency alone is computed for every level at construction,
+so a change of level looks it up.
 The class implements the same apply/advance/read seam a hardware driver would.
 """
 
@@ -33,7 +32,7 @@ from math import ceil, expm1, inf, isfinite
 from typing import NamedTuple
 
 from ._record import Checked
-from .freqset import FrequencyRange, FrequencySet, check_frequency
+from .freqset import FrequencySet, check_frequency
 from .workload import WorkloadProfile
 
 # Energy counter grid period, microseconds.
@@ -101,9 +100,9 @@ def _freq_coefficients(p: PlantParams, freq: float) -> tuple[float, float, float
 class Plant:
     """Simulated processor with an energy counter and a thermal state.
 
-    Owned by a single experiment loop. Every frequency it runs at is legal in
-    omega, a frequency set or range, so the runaway check at construction
-    covers the whole run.
+    Owned by a single experiment loop. Every frequency it runs at is a level
+    of omega, and every level is checked for runaway at construction, so that
+    check covers the whole run.
     """
 
     def __init__(
@@ -111,7 +110,7 @@ class Plant:
         params: PlantParams,
         profile: WorkloadProfile,
         u0: float,
-        omega: FrequencySet | FrequencyRange,
+        omega: FrequencySet,
         seed: int = 0,
         counter_phase_ms: float | None = None,
     ):
@@ -123,16 +122,14 @@ class Plant:
         self.profile = profile
         self.omega = omega
         check_frequency(u0, omega)
-        # beta falls as phi rises (see _freq_coefficients), also in floats, as
-        # each operation rounds monotonically: the top level runs away first.
-        # So this one check covers a range; on a ladder, whose levels are all
-        # computed below, it makes the error name the top level.
-        _freq_coefficients(params, omega.max_level)
-        # Every ladder level's coefficients, computed once; a range has none.
-        self._level_parts = ({level: _freq_coefficients(params, level) for level in omega.levels}
-                             if isinstance(omega, FrequencySet) else {})
+        # Every level's coefficients, computed once. beta falls as phi rises
+        # (see _freq_coefficients), also in floats, as each operation rounds
+        # monotonically: the top level runs away first, so computing it first
+        # makes a runaway error name it.
+        self._level_parts = {level: _freq_coefficients(params, level)
+                             for level in reversed(omega.levels)}
         self.freq = u0
-        self._freq_part = _freq_coefficients(params, u0)
+        self._freq_part = self._level_parts[u0]
         self.temp = params.t_amb
         self.energy_acc = 0.0
         self.counter_joules = 0.0
@@ -154,10 +151,10 @@ class Plant:
 
     def apply_frequency(self, phi: float) -> None:
         """Command a frequency; it takes effect from the next `advance`."""
-        # The running level was checked when it was applied, and a ladder
-        # level is looked up. Anything else is checked and computed: the type
-        # test sends an int and True (== 1.0) on to the check, and NaN equals
-        # no level.
+        # The running level was checked when it was applied, and a level is
+        # looked up. Anything else is checked, then looked up: the type test
+        # sends an int and True (== 1.0) on to the check, NaN equals no level,
+        # and an int level hashes as its float.
         if type(phi) is float:
             if phi == self.freq:
                 return
@@ -166,7 +163,7 @@ class Plant:
             part = None
         if part is None:
             check_frequency(phi, self.omega)
-            part = _freq_coefficients(self.params, phi)
+            part = self._level_parts[phi]
         self.freq = phi
         self._freq_part = part
         self._retune()

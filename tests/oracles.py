@@ -29,6 +29,26 @@ def nearest_level_brute(levels: Sequence[float], u: float) -> float:
     return best
 
 
+class Interval:
+    """Every frequency in [min_level, max_level] GHz: a domain without
+    quantization, for stepping the controller as the textbook Newton method.
+
+    It offers only what the controller reads of its domain: `in`, and a
+    `project` that clamps and refuses non-finite input.
+    """
+
+    def __init__(self, min_level: float, max_level: float):
+        self.min_level, self.max_level = min_level, max_level
+
+    def __contains__(self, value: float) -> bool:
+        return self.min_level <= value <= self.max_level
+
+    def project(self, u: float) -> float:
+        if not math.isfinite(u):
+            raise ValueError(f"cannot project non-finite frequency {u!r}")
+        return min(max(u, self.min_level), self.max_level)
+
+
 def newton_path(
     g: Callable[[float], float],
     dg: Callable[[float], float],

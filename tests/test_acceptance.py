@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from powerreg.controller import IntegralController
-from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA, FrequencyRange
+from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA
 from powerreg.harness import (
     ExperimentConfig,
     parse_config,
@@ -24,7 +24,7 @@ from powerreg.harness import (
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
-from oracles import (adjacent_power_gap, batch_cubic_fit, reference_energy,
+from oracles import (Interval, adjacent_power_gap, batch_cubic_fit, reference_energy,
                      static_share, steady_power, true_cubic_coeffs)
 
 # Static test plant: the default simulated part at alpha=1, kappa=0, whose
@@ -41,7 +41,7 @@ def dg(u):
 
 
 # A frequency range the Newton gates never reach, so no clamp binds.
-WIDE = FrequencyRange(0.1, 10.0)
+WIDE = Interval(0.1, 10.0)
 
 
 def report(name, ok):

@@ -20,7 +20,7 @@ def run_cli(*argv):
 STDOUT_DIGESTS = {
     "run": "321f7430c5018866353b857b9e8fcd0784ff2b45de5d48015e2a7d5f841faf5c",
     "sweep": "9e8bcce0795ea826d138ab78c179af688b393fc717b18638029770af8245ff13",
-    "defaults": "fbe5cc951d20a22d4ef035ac1643ba62e549ede3f239232dcffee336d1c558d4",
+    "defaults": "daa04818ac373f9e437bc4a0b82d6d198ae20b5c15c357d13e9bbadd4a9f73e3",
 }
 
 
@@ -67,9 +67,11 @@ class TestRun:
             assert capsys.readouterr().err.startswith(f"config error: {section}: ")
 
     def test_unknown_key_exits_2(self, capsys):
-        # plant.latency_ms: a key that `defaults` printed before the plant
-        # lost actuation latency, so an old saved config fails loudly.
-        for key, value in (("nope", "1"), ("plant.latency_ms", "2")):
+        # plant.latency_ms and omega_continuous: keys that `defaults` printed
+        # before the plant lost actuation latency and the controller its
+        # continuous mode, so an old saved config fails loudly.
+        for key, value in (("nope", "1"), ("plant.latency_ms", "2"),
+                           ("omega_continuous", "true")):
             assert run_cli("run", "--set", f"{key}={value}") == 2
             assert f"unknown config key {key!r}" in capsys.readouterr().err
 
@@ -113,11 +115,6 @@ class TestRun:
         assert run_cli("run", "--set", "rls.p0=1e307") == 3
         assert "error: RLS covariance is degenerate" in capsys.readouterr().err
 
-    def test_continuous_start_frequency_error_names_the_range(self, capsys):
-        assert run_cli("run", "--set", "omega_continuous=true", "--set", "u0=5") == 2
-        assert ("config error: u0: frequency 5.0 is outside [0.8, 3.4] GHz"
-                in capsys.readouterr().err)
-
     def test_thermal_runaway_at_top_level_is_a_config_error(self, capsys):
         # beta < 0 at 3.4 GHz; the loop would only reach it mid-run
         assert run_cli("run", "--set", "plant.kappa=0.3") == 2
@@ -125,12 +122,10 @@ class TestRun:
                 in capsys.readouterr().err)
         # kappa on the runaway boundary at 3.4 GHz, where a differently
         # rounded check passed a plant that the first step then rejected
-        for mode in ("false", "true"):
-            assert run_cli("run", "--set", "plant.sigma=1.09", "--set", "plant.kappa=0.222",
-                           "--set", "plant.r_th=3.2285726093065534", "--set", "u0=3.4",
-                           "--set", f"omega_continuous={mode}") == 2
-            assert capsys.readouterr().err == (
-                "config error: plant: thermal runaway: leakage feedback gain >= 1 at 3.4 GHz\n")
+        assert run_cli("run", "--set", "plant.sigma=1.09", "--set", "plant.kappa=0.222",
+                       "--set", "plant.r_th=3.2285726093065534", "--set", "u0=3.4") == 2
+        assert capsys.readouterr().err == (
+            "config error: plant: thermal runaway: leakage feedback gain >= 1 at 3.4 GHz\n")
 
 
 class TestSweep:

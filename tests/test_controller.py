@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from powerreg.controller import IntegralController, gain, tracking_error
-from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
-from oracles import newton_path
+from powerreg.freqset import DEFAULT_OMEGA
+from oracles import Interval, newton_path
 from test_acceptance import WIDE, dg, g
 
 # Any float, with the values that break a naive step weighted in.
@@ -85,7 +85,7 @@ class TestStep:
              ranged=True, projected=True)
     def test_matches_its_reference_composition(self, target, y_prev, deriv, floor,
                                                ranged, projected):
-        omega = FrequencyRange(0.8, 3.4) if ranged else DEFAULT_OMEGA
+        omega = Interval(0.8, 3.4) if ranged else DEFAULT_OMEGA
         ctrl = IntegralController(omega, 2.0, deriv_floor=floor, projected_state=projected)
         ctrl.step(10.0, 8.3, 4.0)  # off the ladder: u_prev and _u_raw can differ
         u_prev, u_raw = ctrl.u_prev, ctrl._u_raw
@@ -130,7 +130,7 @@ class TestNewtonBehavior:
         # floor-clamped gain on early garbage estimates drives the command to
         # both range limits; it must not prevent convergence once estimates
         # become sane
-        ctrl = IntegralController(FrequencyRange(0.8, 3.4), u0=2.0)
+        ctrl = IntegralController(Interval(0.8, 3.4), u0=2.0)
         u = 2.0
         path = []
         for k in range(40):
@@ -175,7 +175,7 @@ class TestRawStateVariant:
 
 
 class CountingOmega:
-    """A frequency set or range seen only through `project` and `in`, with no
+    """A frequency domain seen only through `project` and `in`, with no
     __getattr__, as the benchmark's timing proxy sees it; counts projections."""
 
     def __init__(self, omega):
@@ -190,7 +190,7 @@ class CountingOmega:
         return self._omega.project(u)
 
 
-@pytest.mark.parametrize("omega", [DEFAULT_OMEGA, FrequencyRange(0.8, 3.4)])
+@pytest.mark.parametrize("omega", [DEFAULT_OMEGA, Interval(0.8, 3.4)])
 def test_controller_reads_omega_only_through_project_and_in(omega):
     counting = CountingOmega(omega)
     rng = random.Random(4)
@@ -213,14 +213,14 @@ def test_deriv_floor_is_read_only():
 
 def test_starts_from_u0():
     assert IntegralController(DEFAULT_OMEGA, u0=0.8).u_prev == 0.8
-    # continuous mode accepts a start frequency off the ladder
-    assert IntegralController(FrequencyRange(0.8, 3.4), u0=0.9).u_prev == 0.9
+    # a domain without quantization accepts a start frequency off the ladder
+    assert IntegralController(Interval(0.8, 3.4), u0=0.9).u_prev == 0.9
 
 
 def test_invalid_u0_rejected():
     with pytest.raises(ValueError):
         IntegralController(DEFAULT_OMEGA, u0=0.9)
     with pytest.raises(ValueError):
-        IntegralController(FrequencyRange(0.8, 3.4), u0=-1.0)
+        IntegralController(Interval(0.8, 3.4), u0=-1.0)
     with pytest.raises(ValueError):
-        IntegralController(FrequencyRange(0.8, 3.4), u0=math.nan)
+        IntegralController(Interval(0.8, 3.4), u0=math.nan)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from powerreg import harness
 from powerreg.controller import IntegralController, gain, tracking_error
-from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA, FrequencyRange
+from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA
 from powerreg.harness import (
     _CHUNK_ROWS,
     _KEYS,
@@ -146,7 +146,7 @@ class TestParseConfig:
         ("controller.deriv_floor=0", "deriv_floor"),
         ("plant.counter_phase=1.5", "counter_phase"),
         ("duration_ms=5\ncycle_ms=10", "duration_ms"),
-        ("omega_continuous=maybe", "omega_continuous"),
+        ("controller.projected_state=maybe", "projected_state"),
         ("workload.switch_period_ms=1e-7", "switch_period_ms"),
         ("workload.kind=memory_bound\nworkload.switch_period_ms=0.004", "switch_period_ms"),
         ("workload.kind=memory_bound\nworkload.stall_fraction=0.99995", "stall_fraction"),
@@ -214,8 +214,6 @@ class TestParseConfig:
                  r"stall_fraction must be in \[0, 1\)", id="WorkloadProfile"),
     pytest.param(DEFAULT_OMEGA, dict(levels=(2.0, 1.0)), "strictly increasing",
                  id="FrequencySet"),
-    pytest.param(FrequencyRange(1.0, 2.0), dict(min_level=3.0), "min <= max",
-                 id="FrequencyRange"),
     pytest.param(ExperimentConfig(), dict(workload=None, seed=True),
                  "workload: seed must be an int", id="ExperimentConfig"),
     pytest.param(CubicModel(1.5, -2.0, 3.25, 1e-300), dict(a=math.nan),
@@ -254,27 +252,15 @@ class TestRunExperiment:
         trace = run_experiment(cfg)
         assert trace[0].freq_ghz == 1.3
 
-    def test_continuous_mode_converges_tightly(self):
-        cfg = parse_config(
-            "omega_continuous=true\nplant.kappa=0\nplant.counter_phase=0\n"
-            "duration_ms=600")
+    def test_fine_ladder_converges_tightly(self):
+        # 2601 levels 1 MHz apart over the default range: without the default
+        # ladder's quantization the loop settles to within 0.1% of target.
+        omega = ",".join(str(mhz / 1000) for mhz in range(800, 3401))
+        cfg = config_from_pairs({"omega": omega, "plant.kappa": "0",
+                                 "plant.counter_phase": "0", "duration_ms": "600"})
+        assert len(cfg.frequency_set().levels) == 2601
         trace = run_experiment(cfg)
         assert abs(trace[50].error_w) < 1e-3 * cfg.target_w
-
-    def test_continuous_mode_spans_the_ladder(self):
-        cfg = parse_config("omega_continuous=true\nomega=3.1,1.0,2.0")
-        assert cfg.frequency_set() == FrequencyRange(1.0, 3.1)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_continuous_mode_holds_range_for_60_s(self, kind):
-        # Unbounded, the Newton step commanded negative frequencies within
-        # 60 s on every kind but constant.
-        for seed in range(1, 11):
-            cfg = config_from_pairs({"omega_continuous": "true", "workload.kind": kind,
-                                     "seed": str(seed), "duration_ms": "60000"})
-            trace = run_experiment(cfg)
-            assert all(0.8 <= rec.freq_ghz <= 3.4 for rec in trace)
 
     def test_different_seed_changes_trace(self):
         t1 = run_experiment(parse_config("workload.kind=graph_irregular\nseed=1\nduration_ms=500"))

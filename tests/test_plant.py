@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from powerreg.freqset import DEFAULT_OMEGA, FrequencyRange
+from powerreg.freqset import DEFAULT_OMEGA, FrequencySet
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
@@ -26,7 +26,7 @@ class TestDynamicPower:
     @staticmethod
     def measured_power(params, alpha, phi):
         plant = Plant(params, constant_profile(alpha=alpha), u0=phi,
-                      omega=FrequencyRange(0.8, 3.4), counter_phase_ms=0.0)
+                      omega=FrequencySet.from_list([phi]), counter_phase_ms=0.0)
         plant.advance(10.0)
         return plant.read_energy() / 10e-3
 
@@ -104,14 +104,6 @@ class TestApplyFrequency:
         assert (as_int.energy_acc, as_int.temp, as_int.read_energy()) == (
             as_float.energy_acc, as_float.temp, as_float.read_energy())
 
-    def test_continuous_mode_accepts_any_positive(self):
-        plant = Plant(PlantParams(), constant_profile(), u0=2.0,
-                      omega=FrequencyRange(0.8, 3.4), counter_phase_ms=0.0)
-        plant.apply_frequency(0.9)
-        assert plant.freq == 0.9
-        with pytest.raises(ValueError):
-            plant.apply_frequency(-1.0)
-
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(1, 10_000),
            schedule=st.lists(st.tuples(st.integers(1, 15_000),
@@ -148,37 +140,15 @@ class TestApplyFrequency:
                     plant.apply_frequency(bad)
             assert plant.freq == u0
 
-    @pytest.mark.parametrize("seed", [3, 17, 29])
-    def test_ladder_table_matches_computing_each_level(self, seed):
-        # A plant on a range has no table: it computes a level's coefficients
-        # each time the level is applied. Driven through the same levels over
-        # graph_irregular, with activity events between the changes, it must
-        # agree bit for bit with the ladder plant that looks them up.
-        rng = random.Random(seed)
-        schedule = [(rng.randint(1, 15_000), rng.choice(DEFAULT_OMEGA.levels))
-                    for _ in range(150)]
-        assert {level for _, level in schedule} == set(DEFAULT_OMEGA.levels)
-        plants = []
-        for omega in (DEFAULT_OMEGA, FrequencyRange(0.8, 3.4)):
-            plant = Plant(PlantParams(), make_profile("graph_irregular", seed=seed),
-                          u0=2.0, omega=omega, seed=seed)
-            for step_us, level in schedule:
-                plant.advance(step_us / 1000.0)
-                plant.apply_frequency(level)
-            plant.advance(5.0)
-            plants.append(plant)
-        ladder, continuous = plants
-        assert (ladder.energy_acc, ladder.temp, ladder.read_energy()) == (
-            continuous.energy_acc, continuous.temp, continuous.read_energy())
-
-    def test_continuous_schedule_energy_matches_quadrature(self):
-        # More distinct frequencies than a ladder has, some revisited after
-        # others: each change recomputes the frequency's coefficients.
-        params, omega = PlantParams(), FrequencyRange(0.8, 3.4)
+    def test_many_level_schedule_energy_matches_quadrature(self):
+        # A 90-level ladder, some levels revisited after others: each change
+        # looks its level up in the plant's table.
+        params = PlantParams()
         rng = random.Random(5)
         freqs = [rng.uniform(0.8, 3.4) for _ in range(90)]
         freqs += rng.sample(freqs, 10)
-        assert len(set(freqs)) > 64
+        omega = FrequencySet.from_list(freqs)
+        assert len(omega.levels) == 90
         profile = make_profile("graph_irregular", seed=6)
         plant = Plant(params, profile, u0=freqs[0], omega=omega, seed=2)
         for phi in freqs:
@@ -250,16 +220,16 @@ class TestAdvance:
                       omega=DEFAULT_OMEGA, counter_phase_ms=0.0)
 
     @settings(max_examples=300, deadline=None)
-    @given(sigma=st.floats(0.5, 3.0), r_th=st.floats(0.5, 5.0), ulps=st.integers(-4, 4),
-           omega=st.sampled_from([DEFAULT_OMEGA, FrequencyRange(0.8, 3.4)]))
-    def test_plant_that_passes_construction_does_not_run_away(self, sigma, r_th, ulps, omega):
+    @given(sigma=st.floats(0.5, 3.0), r_th=st.floats(0.5, 5.0), ulps=st.integers(-4, 4))
+    def test_plant_that_passes_construction_does_not_run_away(self, sigma, r_th, ulps):
         # kappa within 4 ulps of the runaway boundary at 3.4 GHz: the
         # construction check must round beta as the step does
         defaults = PlantParams()
         kappa = 1.0 / (r_th * sigma * (defaults.v0 + defaults.m * 3.4))
         params = PlantParams(sigma=sigma, kappa=kappa + ulps * math.ulp(kappa), r_th=r_th)
         try:
-            plant = Plant(params, constant_profile(), u0=3.4, omega=omega, counter_phase_ms=0.0)
+            plant = Plant(params, constant_profile(), u0=3.4, omega=DEFAULT_OMEGA,
+                          counter_phase_ms=0.0)
         except ValueError as exc:
             assert "thermal runaway" in str(exc)
         else:

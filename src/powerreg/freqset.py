@@ -87,5 +87,3 @@ DEFAULT_LEVELS = (
     0.8, 1.0, 1.1, 1.3, 1.5, 1.7, 1.8, 2.0,
     2.2, 2.4, 2.5, 2.7, 2.9, 3.1, 3.2, 3.4,
 )
-
-DEFAULT_OMEGA = FrequencySet(DEFAULT_LEVELS)

@@ -114,7 +114,6 @@ class Plant:
         seed: int = 0,
         counter_phase_ms: float | None = None,
     ):
-        self.params = params
         # The fields the step reads at every advance and activity event, as
         # attributes: a named tuple's fields read slower.
         self._cap, self._r_th = params.cap, params.r_th

@@ -14,8 +14,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from powerreg.freqset import DEFAULT_LEVELS, FrequencySet
 from powerreg.oracles import reference_energy  # noqa: F401  (re-exported)
 from powerreg.plant import PlantParams
+
+# The default configuration's ladder, as the set the plant and controller take.
+DEFAULT_OMEGA = FrequencySet(DEFAULT_LEVELS)
 
 
 def nearest_level_brute(levels: Sequence[float], u: float) -> float:

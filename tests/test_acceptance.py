@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from powerreg.controller import IntegralController
-from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA
+from powerreg.freqset import DEFAULT_LEVELS
 from powerreg.harness import (
     ExperimentConfig,
     parse_config,
@@ -24,8 +24,8 @@ from powerreg.harness import (
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
-from oracles import (Interval, adjacent_power_gap, batch_cubic_fit, reference_energy,
-                     static_share, steady_power, true_cubic_coeffs)
+from oracles import (DEFAULT_OMEGA, Interval, adjacent_power_gap, batch_cubic_fit,
+                     reference_energy, static_share, steady_power, true_cubic_coeffs)
 
 # Static test plant: the default simulated part at alpha=1, kappa=0, whose
 # power is exactly cubic in frequency and increasing over the range.

@@ -1,13 +1,20 @@
+import ast
 import hashlib
+import importlib
+import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import powerreg
-from powerreg import cli
+from powerreg import cli, config_from_pairs, run_experiment
 from powerreg.harness import read_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -187,6 +194,54 @@ def test_every_module_imports_without_numpy(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "powerreg.oracles" in proc.stdout.split()
+
+
+def _from_powerreg(source):
+    """(module, name) for every `from powerreg[.sub] import name` in source."""
+    return {(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "powerreg"
+            for alias in node.names}
+
+
+def test_exports_are_what_readme_and_the_benchmark_import():
+    readme = (ROOT / "README.md").read_text()
+    bench = set().union(*(_from_powerreg(path.read_text())
+                          for path in (ROOT / "perfbench").glob("*.py")))
+    examples = set().union(*(_from_powerreg(block)
+                             for block in re.findall(r"```python\n(.*?)```", readme, re.S)))
+    # Every name the benchmark or a README example imports exists.
+    missing = sorted(f"{module}.{name}" for module, name in bench | examples
+                     if not hasattr(importlib.import_module(module), name))
+    assert missing == []
+    # Nothing else is exported: each export is imported from the package by
+    # the benchmark, or named in README. A name README qualifies, such as
+    # `powerreg.harness.run_sweep`, is its module's and does not count.
+    named = ({name for module, name in bench if module == "powerreg"}
+             | set(re.findall(r"(?<![\w.])\w+", readme)))
+    assert sorted(set(powerreg.__all__) - named) == []
+
+
+BENCHMARK_WORKLOADS = [w["name"] for w in
+                       json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_benchmark_seams_run_in_process(workload, tmp_path, monkeypatch):
+    # A 2 s run of each benchmark workload through perfbench's own modules:
+    # the decision replay reproduces its frequencies, and the traced loop
+    # its trace.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import decisions
+    import layers
+    import workloads
+
+    pairs = dict(workloads.config_pairs(workload, 1, str(tmp_path / "t.csv")),
+                 duration_ms="2000")
+    config = config_from_pairs(pairs)
+    trace = run_experiment(config)
+    assert decisions.check_replay(config, trace)[0] == 0
+    assert layers.traced_experiment(pairs)[0] == trace
 
 
 def test_requires_subcommand():

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from powerreg.controller import IntegralController, gain, tracking_error
-from powerreg.freqset import DEFAULT_OMEGA
-from oracles import Interval, newton_path
+from oracles import DEFAULT_OMEGA, Interval, newton_path
 from test_acceptance import WIDE, dg, g
 
 # Any float, with the values that break a naive step weighted in.

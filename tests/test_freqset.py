@@ -5,11 +5,10 @@ import pytest
 
 from powerreg.freqset import (
     DEFAULT_LEVELS,
-    DEFAULT_OMEGA,
     FrequencySet,
     check_frequency,
 )
-from oracles import Interval, nearest_level_brute
+from oracles import DEFAULT_OMEGA, Interval, nearest_level_brute
 
 
 class TestFromList:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from powerreg import harness
 from powerreg.controller import IntegralController, gain, tracking_error
-from powerreg.freqset import DEFAULT_LEVELS, DEFAULT_OMEGA
+from powerreg.freqset import DEFAULT_LEVELS
 from powerreg.harness import (
     _CHUNK_ROWS,
     _KEYS,
@@ -40,6 +40,7 @@ from powerreg.harness import (
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import CubicModel, RlsEstimator
 from powerreg.workload import KINDS, make_profile
+from oracles import DEFAULT_OMEGA
 
 
 def make_record(t_ms, power_w, target_w=10.0, freq=2.0):

@@ -5,11 +5,12 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from powerreg.freqset import DEFAULT_OMEGA, FrequencySet
+from powerreg.freqset import FrequencySet
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import RlsEstimator
 from powerreg.workload import make_profile
-from oracles import first_order_rise, reference_energy, steady_power, true_cubic_coeffs
+from oracles import (DEFAULT_OMEGA, first_order_rise, reference_energy, steady_power,
+                     true_cubic_coeffs)
 
 
 def constant_profile(seed=0, alpha=1.0):

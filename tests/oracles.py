@@ -38,7 +38,9 @@ class Interval:
     quantization, for stepping the controller as the textbook Newton method.
 
     It offers only what the controller reads of its domain: `in`, and a
-    `project` that clamps and refuses non-finite input.
+    `project` that clamps and refuses non-finite input. The clamp is
+    monotone, u <= v gives project(u) <= project(v), as the controller
+    requires of its domain.
     """
 
     def __init__(self, min_level: float, max_level: float):

@@ -64,46 +64,73 @@ class TestTrackingError:
         assert ctrl.u_prev == 2.0
 
 
+# Raw commands an aimed step reaches with unit gain: each midpoint of the
+# default ladder and its float neighbours, and commands past both clamps.
+_LEVELS = DEFAULT_OMEGA.levels
+_MIDPOINTS = [(a + b) / 2 for a, b in zip(_LEVELS, _LEVELS[1:])]
+AIMS = sorted({c for m in _MIDPOINTS
+               for c in (math.nextafter(m, 0.0), m, math.nextafter(m, math.inf))}
+              | {-1.0, math.nextafter(0.8, 0.0), math.nextafter(3.4, math.inf), 100.0})
+
+# A step is either any three inputs or an aimed command, from which the test
+# builds (command - base, 0.0, 1.0).
+STEPS = st.lists(st.one_of(st.tuples(EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS),
+                           st.sampled_from(AIMS)), min_size=1, max_size=12)
+
+_MID = _MIDPOINTS[9]  # 2.45, between 2.4 and 2.5
+
+
 class TestStep:
-    @given(target=EDGE_FLOATS, y_prev=EDGE_FLOATS, deriv=EDGE_FLOATS,
+    @given(steps=STEPS,
            floor=st.one_of(st.just(0.1), st.floats(min_value=sys.float_info.min,
                                                   max_value=sys.float_info.max)),
            ranged=st.booleans(), projected=st.booleans())
     # A quarter-gain step; zero error; a non-finite measurement refused before a
     # NaN estimate; an infinite estimate.
-    @example(target=10.0, y_prev=8.0, deriv=4.0, floor=0.1, ranged=False, projected=True)
-    @example(target=10.0, y_prev=10.0, deriv=4.0, floor=0.1, ranged=False, projected=True)
-    @example(target=10.0, y_prev=-math.inf, deriv=math.nan, floor=0.1,
-             ranged=False, projected=True)
-    @example(target=10.0, y_prev=8.0, deriv=math.inf, floor=0.1, ranged=False, projected=True)
-    @example(target=math.nan, y_prev=8.0, deriv=math.nan, floor=0.1,
-             ranged=False, projected=True)
-    @example(target=1e308, y_prev=-1e308, deriv=-math.inf, floor=0.1,
-             ranged=True, projected=False)
-    @example(target=1e308, y_prev=0.0, deriv=-1.0, floor=sys.float_info.min,
-             ranged=True, projected=True)
-    def test_matches_its_reference_composition(self, target, y_prev, deriv, floor,
-                                               ranged, projected):
+    @example(steps=[(10.0, 8.0, 4.0)], floor=0.1, ranged=False, projected=True)
+    @example(steps=[(10.0, 10.0, 4.0)], floor=0.1, ranged=False, projected=True)
+    @example(steps=[(10.0, -math.inf, math.nan)], floor=0.1, ranged=False, projected=True)
+    @example(steps=[(10.0, 8.0, math.inf)], floor=0.1, ranged=False, projected=True)
+    @example(steps=[(math.nan, 8.0, math.nan)], floor=0.1, ranged=False, projected=True)
+    @example(steps=[(1e308, -1e308, -math.inf)], floor=0.1, ranged=True, projected=False)
+    @example(steps=[(1e308, 0.0, -1.0)], floor=sys.float_info.min, ranged=True,
+             projected=True)
+    # At and beside a midpoint, back and forth, so that the span resets, widens
+    # and hits, the last time strictly inside.
+    @example(steps=[math.nextafter(_MID, 0.0), _MID, math.nextafter(_MID, math.inf), _MID,
+                    math.nextafter(_MID, 0.0), (10.0, 10.0, 4.0), 2.425],
+             floor=0.1, ranged=False, projected=True)
+    @example(steps=[math.nextafter(_MID, 0.0), _MID, math.nextafter(_MID, math.inf), _MID],
+             floor=0.1, ranged=False, projected=False)
+    # Past both clamps, twice each.
+    @example(steps=[100.0, math.nextafter(3.4, math.inf), 100.0, -1.0,
+                    math.nextafter(0.8, 0.0), -1.0], floor=0.1, ranged=True, projected=True)
+    def test_matches_its_reference_composition(self, steps, floor, ranged, projected):
         omega = Interval(0.8, 3.4) if ranged else DEFAULT_OMEGA
         ctrl = IntegralController(omega, 2.0, deriv_floor=floor, projected_state=projected)
-        ctrl.step(10.0, 8.3, 4.0)  # off the ladder: u_prev and _u_raw can differ
-        u_prev, u_raw = ctrl.u_prev, ctrl._u_raw
-        kept = ctrl.error, ctrl.gain
-        try:
-            e = tracking_error(target, y_prev)
-            a = gain(deriv, floor)
-            expected = omega.project((u_prev if projected else u_raw) + a * e)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                ctrl.step(target, y_prev, deriv)
-            assert str(info.value) == str(exc)
-            assert (ctrl.u_prev, ctrl._u_raw) == (u_prev, u_raw)
-            assert (ctrl.error, ctrl.gain) == kept
-        else:
-            assert ctrl.step(target, y_prev, deriv).hex() == expected.hex()
-            assert ctrl.u_prev.hex() == expected.hex()
-            assert ctrl.error.hex() == e.hex()
-            assert ctrl.gain.hex() == a.hex()
+        u_prev = u_raw = 2.0  # the reference composition's state
+        # the first step is off the ladder: u_prev and u_raw can differ
+        for step in [(10.0, 8.3, 4.0)] + steps:
+            base = u_prev if projected else u_raw
+            target, y_prev, deriv = ((step - base, 0.0, 1.0) if isinstance(step, float)
+                                     else step)
+            kept = ctrl.error, ctrl.gain
+            try:
+                e = tracking_error(target, y_prev)
+                a = gain(deriv, floor)
+                raw = base + a * e
+                expected = omega.project(raw)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    ctrl.step(target, y_prev, deriv)
+                assert str(info.value) == str(exc)
+                assert (ctrl.error, ctrl.gain) == kept
+            else:
+                assert ctrl.step(target, y_prev, deriv).hex() == expected.hex()
+                assert ctrl.error.hex() == e.hex()
+                assert ctrl.gain.hex() == a.hex()
+                u_prev, u_raw = expected, raw
+            assert (ctrl.u_prev.hex(), ctrl._u_raw.hex()) == (u_prev.hex(), u_raw.hex())
 
     def test_cube_root_iterates_match_reference_newton(self):
         ctrl = IntegralController(WIDE, u0=1.0)
@@ -191,16 +218,21 @@ class CountingOmega:
 
 @pytest.mark.parametrize("omega", [DEFAULT_OMEGA, Interval(0.8, 3.4)])
 def test_controller_reads_omega_only_through_project_and_in(omega):
-    counting = CountingOmega(omega)
     rng = random.Random(4)
-    steps = [(rng.uniform(2.0, 12.0), rng.uniform(2.0, 12.0), rng.uniform(-1.0, 8.0))
-             for _ in range(100)]
-    paths = []
-    for domain in (counting, omega):
-        ctrl = IntegralController(domain, u0=2.0)
-        paths.append([ctrl.step(*step) for step in steps])
-    assert paths[0] == paths[1]
-    assert counting.project_calls == len(steps)
+    wandering = [(rng.uniform(2.0, 12.0), rng.uniform(2.0, 12.0), rng.uniform(-1.0, 8.0))
+                 for _ in range(100)]
+    # one step repeated: the command climbs to the top clamp, then stays there
+    settled = [(10.0, 8.0, 4.0)] * 100
+    for steps in (wandering, settled):
+        counting = CountingOmega(omega)
+        paths = []
+        for domain in (counting, omega):
+            ctrl = IntegralController(domain, u0=2.0)
+            paths.append([ctrl.step(*step) for step in steps])
+        assert paths[0] == paths[1]
+        # at most one projection a step, and none while the command stays on the level
+        assert counting.project_calls <= len(steps)
+    assert counting.project_calls < len(settled)  # counted on the settled loop
 
 
 def test_deriv_floor_is_read_only():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from powerreg.freqset import (
     DEFAULT_LEVELS,
@@ -68,6 +69,31 @@ class TestProject:
             fs = FrequencySet.from_list(levels)
             u = rng.uniform(-2.0, 10.0)
             assert fs.project(u) == nearest_level_brute(fs.levels, u)
+
+
+def probe_commands(levels, extra):
+    """Sorted commands where a slip in project's arithmetic would show: each
+    level and each midpoint with their float neighbours, and `extra`."""
+    points = list(levels) + [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    commands = set(extra)
+    for p in points:
+        commands.update((math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)))
+    return sorted(commands)
+
+
+# The controller skips project for a command between two that project mapped
+# to one level; that is sound only if project is monotone.
+@given(levels=st.lists(st.floats(min_value=0.0, exclude_min=True, max_value=1e300),
+                       min_size=1, max_size=12),
+       extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+@example(levels=list(DEFAULT_LEVELS), extra=[-1.0, 0.0, 100.0])
+def test_project_is_monotone(levels, extra):
+    fs = FrequencySet.from_list(levels)
+    commands = probe_commands(fs.levels, extra)
+    for omega in (fs, Interval(fs.min_level, fs.max_level)):
+        projected = [omega.project(u) for u in commands]
+        # u <= v gives project(u) <= project(v): the images of sorted commands are sorted
+        assert projected == sorted(projected)
 
 
 def test_min_max_levels():

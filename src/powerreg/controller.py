@@ -15,7 +15,7 @@ of a 1 ms compute-bound run and on about 20% of a 10 ms graph-irregular one.
 from __future__ import annotations
 
 import sys
-from math import inf, isfinite, nan
+from math import isfinite, nan
 
 from .freqset import FrequencySet, check_frequency
 
@@ -66,12 +66,8 @@ class IntegralController:
     `error` and `gain` are what the last accepted step applied: the tracking
     error, watts, and the gain, GHz/watt; both are nan before the first.
 
-    `omega` is read only through `in` and `project`, which must be monotone:
-    u <= v implies project(u) <= project(v). So a raw command between two
-    that `project` mapped onto u_prev maps there too, and `step` returns
-    u_prev for it without calling `project`. That span, [_lo, _hi], starts
-    empty and resets at each level change, so every value `step` returns
-    came from `project`.
+    `omega` is read only through `in` and `project`, which `step` calls
+    once, so any domain offering those two will do.
     """
 
     def __init__(
@@ -88,7 +84,6 @@ class IntegralController:
         check_frequency(u0, omega)
         self.u_prev = u0
         self._u_raw = u0
-        self._lo, self._hi = inf, -inf  # the span starts empty
         self.error = self.gain = nan
 
     @property
@@ -110,23 +105,12 @@ class IntegralController:
         if not isfinite(deriv_estimate):
             raise ValueError(_ESTIMATE_MESSAGE)
         floor = self._floor
-        u_prev = self.u_prev
-        base = u_prev if self.projected_state else self._u_raw
+        base = self.u_prev if self.projected_state else self._u_raw
         # gain's max(deriv_estimate, floor), by one comparison and no builtin
         # call: two-argument max keeps its first item unless the second is greater.
         g = 1.0 / (floor if floor > deriv_estimate else deriv_estimate)
         raw = base + g * e
-        if self._lo <= raw <= self._hi:
-            u = u_prev  # project is monotone, so it maps raw to u_prev too
-        else:
-            u = self.omega.project(raw)
-            if u != u_prev:
-                self._lo = self._hi = raw
-            else:  # widen to raw; both ends move while the span is empty
-                if raw < self._lo:
-                    self._lo = raw
-                if raw > self._hi:
-                    self._hi = raw
+        u = self.omega.project(raw)
         self._u_raw = raw
         self.u_prev = u
         self.error, self.gain = e, g

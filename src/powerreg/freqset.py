@@ -7,26 +7,47 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import isfinite
+from math import isfinite, nextafter
 from typing import Iterable, NamedTuple
 
 from ._record import Checked
 
 
-class _Levels(NamedTuple):
+class _Ladder(NamedTuple):
     levels: tuple[float, ...]
+    cuts: tuple[float, ...]
 
 
-class FrequencySet(Checked, _Levels):
+def _cut(lo: float, hi: float) -> float:
+    """The largest command nearer lo than hi, a tie going to lo: the last u
+    in [lo, hi) with u - lo <= hi - u, as evaluated in floats.
+
+    Both sides are monotone in u, so the test holds on a prefix of [lo, hi];
+    the float midpoint is within a few ulps of that prefix's end.
+    """
+    u = lo + (hi - lo) / 2
+    while not u - lo <= hi - u:
+        u = nextafter(u, lo)
+    while (v := nextafter(u, hi)) - lo <= hi - v:
+        u = v
+    return u
+
+
+class FrequencySet(Checked, _Ladder):
     """Finite ordered set of legal clock frequencies, in GHz.
 
-    A named tuple of one field, `levels`, strictly increasing and positive.
+    A named tuple of `levels`, strictly increasing and positive, and `cuts`,
+    which the constructor derives from them: cuts[k] is the largest command
+    that `project` maps to levels[k] rather than levels[k + 1], so that a
+    projection is one bisection. Cuts passed in, as `_replace` and a copy
+    pass them, must equal the derived ones; None derives them afresh.
     Instances are immutable and safe to share.
     """
 
     __slots__ = ()
 
-    def __new__(cls, levels: Iterable[float]) -> "FrequencySet":
+    def __new__(cls, levels: Iterable[float],
+                cuts: Iterable[float] | None = None) -> "FrequencySet":
         levels = tuple(levels)
         if not levels:
             raise ValueError("frequency set must not be empty")
@@ -35,7 +56,10 @@ class FrequencySet(Checked, _Levels):
                 raise ValueError(f"frequency level must be finite and positive, got {v!r}")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("frequency levels must be strictly increasing")
-        return tuple.__new__(cls, (levels,))
+        derived = tuple(_cut(a, b) for a, b in zip(levels, levels[1:]))
+        if cuts is not None and tuple(cuts) != derived:
+            raise ValueError("cuts must be the ones the levels give")
+        return tuple.__new__(cls, (levels, derived))
 
     @classmethod
     def from_list(cls, values: Iterable[float]) -> "FrequencySet":
@@ -61,15 +85,9 @@ class FrequencySet(Checked, _Levels):
         """
         if not isfinite(u):
             raise ValueError(f"cannot project non-finite frequency {u!r}")
-        levels = self.levels
-        i = bisect_left(levels, u)
-        if i == 0:
-            return levels[0]
-        if i == len(levels):
-            return levels[-1]
-        lo, hi = levels[i - 1], levels[i]
-        # ties resolve to the lower level
-        return lo if u - lo <= hi - u else hi
+        # levels[k] takes the commands in (cuts[k - 1], cuts[k]]; below
+        # cuts[0] is levels[0], above the last cut the top level.
+        return self.levels[bisect_left(self.cuts, u)]
 
 
 def check_frequency(phi: float, omega: FrequencySet) -> None:

@@ -10,6 +10,7 @@ is re-exported here, so every test takes its references from this module.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,14 +34,29 @@ def nearest_level_brute(levels: Sequence[float], u: float) -> float:
     return best
 
 
+def nearest_level_pair(levels: Sequence[float], u: float) -> float:
+    """Nearest level by comparing only the two that bracket u, lower on a tie;
+    u clamps to the ends. This is the rule `FrequencySet.project` answers by
+    its cut points, evaluated directly: it is exact to the ulp where
+    `nearest_level_brute`, comparing distances to far levels too, can round
+    differently on a ladder spanning many orders of magnitude."""
+    i = bisect_left(levels, u)
+    if i == 0:
+        return levels[0]
+    if i == len(levels):
+        return levels[-1]
+    lo, hi = levels[i - 1], levels[i]
+    return lo if u - lo <= hi - u else hi
+
+
 class Interval:
     """Every frequency in [min_level, max_level] GHz: a domain without
     quantization, for stepping the controller as the textbook Newton method.
 
     It offers only what the controller reads of its domain: `in`, and a
     `project` that clamps and refuses non-finite input. The clamp is
-    monotone, u <= v gives project(u) <= project(v), as the controller
-    requires of its domain.
+    monotone, u <= v gives project(u) <= project(v), as the ladder's
+    nearest level is.
     """
 
     def __init__(self, min_level: float, max_level: float):

@@ -9,7 +9,7 @@ from powerreg.freqset import (
     FrequencySet,
     check_frequency,
 )
-from oracles import DEFAULT_OMEGA, Interval, nearest_level_brute
+from oracles import DEFAULT_OMEGA, Interval, nearest_level_brute, nearest_level_pair
 
 
 class TestFromList:
@@ -38,6 +38,14 @@ class TestFromList:
     def test_direct_construction_from_a_list_stores_a_tuple(self):
         fs = FrequencySet([1.0, 2.0])
         assert fs == FrequencySet((1.0, 2.0)) and hash(fs) == hash(FrequencySet((1.0, 2.0)))
+
+    def test_cuts_are_derived_from_the_levels(self):
+        fs = FrequencySet((1.0, 2.0))
+        assert fs.cuts == (1.5,) and FrequencySet((1.0, 2.0), (1.5,)) == fs
+        assert fs._replace(levels=(1.0, 3.0), cuts=None).cuts == (2.0,)
+        for changes in (dict(cuts=(1.2,)), dict(levels=(1.0, 3.0))):
+            with pytest.raises(ValueError, match="cuts"):
+                fs._replace(**changes)
 
 
 class TestProject:
@@ -81,12 +89,13 @@ def probe_commands(levels, extra):
     return sorted(commands)
 
 
-# The controller skips project for a command between two that project mapped
-# to one level; that is sound only if project is monotone.
+# project bisects the cut points, which is sound only if the nearest-level
+# rule it stands for is monotone; the pair rule checks each cut to the ulp.
 @given(levels=st.lists(st.floats(min_value=0.0, exclude_min=True, max_value=1e300),
                        min_size=1, max_size=12),
        extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
 @example(levels=list(DEFAULT_LEVELS), extra=[-1.0, 0.0, 100.0])
+@example(levels=[1.0, 2.0, 1.8014398509481988e+16], extra=[])  # brute force differs here
 def test_project_is_monotone(levels, extra):
     fs = FrequencySet.from_list(levels)
     commands = probe_commands(fs.levels, extra)
@@ -94,6 +103,8 @@ def test_project_is_monotone(levels, extra):
         projected = [omega.project(u) for u in commands]
         # u <= v gives project(u) <= project(v): the images of sorted commands are sorted
         assert projected == sorted(projected)
+    assert [fs.project(u) for u in commands] == [nearest_level_pair(fs.levels, u)
+                                                 for u in commands]
 
 
 def test_min_max_levels():

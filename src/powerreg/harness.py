@@ -10,12 +10,12 @@ Configuration is a flat key=value text format with dotted section prefixes.
 The schema table _SCHEMA names every key once, with its parser and its
 default; ExperimentConfig's defaults, the parsing in config_from_pairs and
 DEFAULT_CONFIG_TEXT (what `powerreg defaults` prints) all come from it.
-Traces round-trip through a fixed-schema CSV.
+Traces round-trip through a fixed-schema CSV, written and read by the one
+plain-text rule that _line states.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from array import array
@@ -407,6 +407,14 @@ def error_split(trace: Trace, config: ExperimentConfig) -> ErrorSplit:
 CSV_COLUMNS = TraceRecord._fields
 
 
+def _line(cells: Iterable[str]) -> str:
+    r"""One line of a powerreg CSV. Every CSV here, trace or sweep summary, is
+    a header line of field names, then one such line per row: cells joined by
+    "," and never quoted, numbers printed as _NUMBER, settled as 0 or 1, and
+    a "\n" at the end. read_csv splits lines by it, "\r\n"-ended ones too."""
+    return ",".join(cells) + "\n"
+
+
 # How the CSVs print a number: 6 significant digits, the same text as
 # format(value, ".6g") for every float (signed zeros, infinities and nan
 # included). "%g" already means precision 6, and unlike "%.6g" it takes the
@@ -414,8 +422,8 @@ CSV_COLUMNS = TraceRecord._fields
 # or sign flag straight into the result.
 _NUMBER = "%g"
 
-# A trace row's text, by its settled flag; no field needs CSV quoting.
-_ROWS = tuple(",".join([_NUMBER] * len(_COLUMN)) + f",{flag}\n" for flag in (0, 1))
+# A trace row's text, by its settled flag.
+_ROWS = tuple(_line([_NUMBER] * len(_COLUMN) + [str(flag)]) for flag in (0, 1))
 
 _CHUNK_ROWS = 256  # trace rows per write call in write_csv
 
@@ -425,7 +433,7 @@ def write_csv(trace: Trace, path: str) -> None:
     numbers, settled = trace._numbers, trace._settled
     width = len(_COLUMN)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(_line(CSV_COLUMNS))
         # One write per chunk, its rows formatted by one % from the packed
         # numbers: a write per row costs more per row, and joining the whole
         # trace first costs its size in memory.
@@ -436,11 +444,12 @@ def write_csv(trace: Trace, path: str) -> None:
 
 def read_csv(path: str) -> Trace:
     """Parse a trace CSV written by write_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != CSV_COLUMNS:  # () for an empty file
+    with open(path) as fh:  # universal newlines: a "\r\n" line end reads as "\n"
+        rows = (line.rstrip("\n").split(",") for line in fh)
+        if tuple(next(rows, ())) != CSV_COLUMNS:  # () for an empty file
             raise ValueError(f"unexpected CSV header in {path}")
-        return Trace(_parse_row(row, path, reader.line_num) for row in reader)
+        return Trace(_parse_row(row, path, line_num)
+                     for line_num, row in enumerate(rows, start=2))
 
 
 def _parse_row(row: list[str], path: str, line_num: int) -> tuple:
@@ -551,9 +560,8 @@ def run_sweep(base: ExperimentConfig) -> list[SweepRow]:
 
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
+        fh.write(_line(SWEEP_COLUMNS))
         for row in rows:
-            writer.writerow([row.scenario, str(row.cycle_ms)] + [
+            fh.write(_line([row.scenario, str(row.cycle_ms)] + [
                 "" if v is None else _NUMBER % v
-                for v in (row.settling_ms, row.error_w, row.mean_freq_ghz)])
+                for v in (row.settling_ms, row.error_w, row.mean_freq_ghz)]))

@@ -173,9 +173,11 @@ class Plant:
 
     def advance(self, dt_ms: float) -> None:
         """Advance simulated time by dt_ms milliseconds."""
-        if not (isfinite(dt_ms) and dt_ms > 0.0):
+        # Checked in us, so a dt_ms whose us overflow to inf is refused too.
+        dt_us = dt_ms * 1000.0
+        if not (isfinite(dt_us) and dt_us > 0.0):
             raise ValueError("dt_ms must be positive and finite")
-        dt_us = round(dt_ms * 1000.0)  # an int: round of one float
+        dt_us = round(dt_us)  # an int: round of one float
         if dt_us < 1:
             raise ValueError("dt_ms must be at least 1 microsecond")
         clock, temp, energy = self._clock_us, self.temp, self.energy_acc

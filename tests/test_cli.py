@@ -166,14 +166,15 @@ def test_import_path_loads_no_numpy(tmp_path):
     # With numpy blocked, any import of it raises: run, sweep and defaults
     # still print their pinned output. Nor do they load statistics, which
     # would pull in fractions, decimal and numbers on every run, or
-    # dataclasses, which would pull in inspect, ast, dis and tokenize.
+    # dataclasses, which would pull in inspect, ast, dis and tokenize, or
+    # csv: powerreg reads and writes its CSVs as plain text.
     src = os.path.dirname(os.path.dirname(powerreg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for command in STDOUT_DIGESTS:
         probe = ("import sys; sys.modules['numpy'] = None; from powerreg.cli import main; "
                  f"code = main([{command!r}]); "
                  "print(sorted({'statistics', 'fractions', 'decimal', 'numbers', "
-                 "'dataclasses', 'inspect'} "
+                 "'dataclasses', 'inspect', 'csv', '_csv'} "
                  "& set(sys.modules)), file=sys.stderr); raise SystemExit(code)")
         proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
                               capture_output=True, text=True)

@@ -427,6 +427,7 @@ class TestCsv:
         "0,2,10,10,0,0.25,0,0,0,0,4,1,extra",  # extra column
         "0,2,10,10,0,0.25,0,0,0,0,4,yes",      # settled not 0/1
         "0,2,x,10,0,0.25,0,0,0,0,4,1",         # cell not a number
+        '"0",2,10,10,0,0.25,0,0,0,0,4,1',      # quoted cell: the CSVs never quote
     ])
     def test_malformed_row_names_path_and_line(self, tmp_path, row):
         path = tmp_path / "t.csv"
@@ -434,6 +435,13 @@ class TestCsv:
         path.write_text(",".join(CSV_COLUMNS) + f"\n{good}\n{row}\n")
         with pytest.raises(ValueError, match=rf"t\.csv, line 3: expected 12 columns"):
             read_csv(str(path))
+
+    def test_crlf_copy_reads_back_equal(self, tmp_path):
+        trace = synthetic_trace([5.0, 9.9, 10.1, 10.0])
+        path, crlf = tmp_path / "t.csv", tmp_path / "crlf.csv"
+        write_csv(trace, str(path))
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_csv(str(crlf)) == read_csv(str(path))
 
     def test_write_failure_carries_path(self, tmp_path):
         with pytest.raises(OSError):

@@ -8,8 +8,10 @@ run's Trace, which keeps the numbers packed as C doubles.
 
 Configuration is a flat key=value text format with dotted section prefixes.
 The schema table _SCHEMA names every key once, with its parser and its
-default; ExperimentConfig's defaults, the parsing in config_from_pairs and
-DEFAULT_CONFIG_TEXT (what `powerreg defaults` prints) all come from it.
+default; ExperimentConfig's own fields (the keys that set no plant.* or
+workload.* field, in schema order) and their defaults, the parsing in
+config_from_pairs and DEFAULT_CONFIG_TEXT (what `powerreg defaults` prints)
+all come from it.
 Traces round-trip through a fixed-schema CSV, written and read by the one
 plain-text rule that _line states.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from collections import namedtuple
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple
 
@@ -28,7 +31,7 @@ from .controller import DEFAULT_DERIV_FLOOR, IntegralController, gain, tracking_
 from .freqset import DEFAULT_LEVELS, FrequencySet, check_frequency
 from .plant import Plant, PlantParams
 from .sysid import CubicModel, RlsEstimator
-from .workload import WorkloadProfile, make_profile
+from .workload import make_profile
 
 
 class ConfigError(ValueError):
@@ -146,7 +149,8 @@ class _Key(NamedTuple):
     layer that takes the value checks its range, finiteness included), its
     default as `powerreg defaults` prints it, and the ExperimentConfig field
     it sets (the key itself unless named; plant.<name> and workload.<name>
-    are fields of those parts). An optional key is printed commented out,
+    are fields of those parts, and every other key is one of the config's
+    own fields, in schema order). An optional key is printed commented out,
     with an example value, and is unset unless given."""
 
     name: str
@@ -199,12 +203,6 @@ _SCHEMA: tuple[tuple[str, tuple[_Key, ...]], ...] = (
 
 _KEYS = {key.name: key for _, keys in _SCHEMA for key in keys}
 
-# Parsed default of every key that has one, by the field it sets.
-_DEFAULTS = {
-    key.field_name or key.name: key.parse(key.default)
-    for key in _KEYS.values() if not key.optional
-}
-
 
 def _section_text(heading: str, keys: tuple[_Key, ...]) -> str:
     lines = [f"# {heading}"]
@@ -216,30 +214,22 @@ def _section_text(heading: str, keys: tuple[_Key, ...]) -> str:
 DEFAULT_CONFIG_TEXT = "\n".join(_section_text(*section) for section in _SCHEMA)
 
 
-class _ConfigFields(NamedTuple):
-    target_w: float = _DEFAULTS["target_w"]
-    cycle_ms: int = _DEFAULTS["cycle_ms"]
-    duration_ms: float = _DEFAULTS["duration_ms"]
-    omega: tuple[float, ...] = _DEFAULTS["omega"]
-    u0: float = _DEFAULTS["u0"]
-    workload: WorkloadProfile | None = None
-    plant: PlantParams = PlantParams()
-    counter_phase_ms: float | None = None
-    rls_forgetting: float = _DEFAULTS["rls_forgetting"]
-    rls_p0: float = _DEFAULTS["rls_p0"]
-    rls_x0: tuple[float, float, float, float] = _DEFAULTS["rls_x0"]
-    deriv_floor: float = _DEFAULTS["deriv_floor"]
-    projected_state: bool = _DEFAULTS["projected_state"]
-    settle_band_frac: float = _DEFAULTS["settle_band_frac"]
-    seed: int = _DEFAULTS["seed"]
-    out_path: str | None = None
+# The keys that set ExperimentConfig's own fields, by field.
+_OWN_KEYS = {field: key for key in _KEYS.values()
+             if "." not in (field := key.field_name or key.name)}
+_ConfigFields = namedtuple("_ConfigFields", [*_OWN_KEYS, "workload", "plant"], defaults=[
+    None if key.optional else key.parse(key.default) for key in _OWN_KEYS.values()
+] + [None, PlantParams()])
 
 
 class ExperimentConfig(Checked, _ConfigFields):
-    """One experiment's settings, an immutable named tuple; each default
-    comes from the schema table, and `_replace` makes a changed copy.
+    """One experiment's settings, an immutable named tuple; `_replace`
+    makes a changed copy.
 
-    workload None stands for the default workload kind, drawn from seed.
+    Its own fields are the schema's keys that set no plant.* or workload.*
+    field, in schema order, each defaulting to its key's parsed default
+    (None for an optional key); then workload and plant. workload None
+    stands for the default workload kind, drawn from seed.
     """
 
     __slots__ = ()
@@ -248,7 +238,7 @@ class ExperimentConfig(Checked, _ConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.workload is None:
             self = self._replace(workload=_check(
-                "workload", make_profile, _DEFAULTS["workload.kind"], seed=self.seed))
+                "workload", make_profile, _KEYS["workload.kind"].default, seed=self.seed))
         return self
 
     def frequency_set(self) -> FrequencySet:
@@ -504,12 +494,12 @@ def config_from_pairs(pairs: dict[str, str]) -> ExperimentConfig:
         given[part][name] = _check(key, spec.parse, raw)
 
     plant = _check("plant", PlantParams, **given["plant"])
+    config = ExperimentConfig(plant=plant, **given[""])
     workload = given["workload"]
     if workload:
-        kind = workload.pop("kind", _DEFAULTS["workload.kind"])
-        seed = given[""].get("seed", _DEFAULTS["seed"])
-        given[""]["workload"] = _check("workload", make_profile, kind, seed, **workload)
-    config = ExperimentConfig(plant=plant, **given[""])
+        kind = workload.pop("kind", config.workload.kind)
+        config = config._replace(
+            workload=_check("workload", make_profile, kind, config.seed, **workload))
     config.validate()
     return config
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from powerreg import harness
 from powerreg.controller import IntegralController, gain, tracking_error
-from powerreg.freqset import DEFAULT_LEVELS
+from powerreg.freqset import DEFAULT_LEVELS, FrequencySet
 from powerreg.harness import (
     _CHUNK_ROWS,
     _KEYS,
@@ -39,7 +39,7 @@ from powerreg.harness import (
 )
 from powerreg.plant import Plant, PlantParams
 from powerreg.sysid import CubicModel, RlsEstimator
-from powerreg.workload import KINDS, make_profile
+from powerreg.workload import KINDS, WorkloadProfile, make_profile
 from oracles import DEFAULT_OMEGA
 
 
@@ -222,10 +222,14 @@ class TestParseConfig:
 ])
 def test_config_parts_are_immutable_values(record, changes, error):
     # Equal and hashable by their fields; pickled and deep-copied to the same
-    # type and value; no field can be assigned and no attribute added; and
-    # `_replace` makes a copy through the same checks as the constructor.
+    # type and value; its repr evaluates back to it; no field can be assigned
+    # and no attribute added; and `_replace` makes a copy through the same
+    # checks as the constructor.
     twin = type(record)(**record._asdict())
     assert twin == record and twin is not record and hash(twin) == hash(record)
+    namespace = {cls.__name__: cls for cls in (
+        PlantParams, WorkloadProfile, FrequencySet, ExperimentConfig, CubicModel)}
+    assert eval(repr(record), namespace) == record
     for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
         assert type(copied) is type(record) and copied == record
     for name in record._fields:

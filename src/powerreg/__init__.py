@@ -6,6 +6,8 @@ frequency-to-power model current; the simulated plant supplies the power,
 thermal, and energy-counter behavior of a multicore part.
 """
 
+from types import ModuleType as _Module
+
 from .controller import IntegralController, gain, tracking_error
 from .freqset import FrequencySet
 from .harness import (
@@ -29,28 +31,7 @@ from .workload import WorkloadProfile, make_profile
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "CubicModel",
-    "ExperimentConfig",
-    "FrequencySet",
-    "IntegralController",
-    "Plant",
-    "PlantParams",
-    "RlsEstimator",
-    "Trace",
-    "TraceRecord",
-    "WorkloadProfile",
-    "config_from_pairs",
-    "error_split",
-    "gain",
-    "make_profile",
-    "mean_frequency",
-    "parse_config",
-    "read_csv",
-    "run_experiment",
-    "settling_time",
-    "steady_error",
-    "tracking_error",
-    "write_csv",
-]
+# The exports are the names imported above: every public global but the
+# submodules that importing them binds.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

@@ -50,7 +50,8 @@ def _load_pairs(args: argparse.Namespace) -> dict[str, str]:
     --out; the command line may set each key once."""
     pairs: dict[str, str] = {}
     if args.config:
-        with open(args.config) as fh:
+        # utf-8-sig reads a file saved with a byte-order mark as one without.
+        with open(args.config, encoding="utf-8-sig") as fh:
             pairs.update(harness.parse_pairs(fh.read()))
     given = []  # (option, key, value) from the command line
     for item in args.overrides:

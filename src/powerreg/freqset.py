@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import isfinite, nextafter
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from ._record import Checked
 
@@ -23,14 +23,20 @@ def _cut(lo: float, hi: float) -> float:
     in [lo, hi) with u - lo <= hi - u, as evaluated in floats.
 
     Both sides are monotone in u, so the test holds on a prefix of [lo, hi];
-    the float midpoint is within a few ulps of that prefix's end.
+    call its last float c. The float midpoint u is c or the float above it,
+    and the test at u itself tells which, so this returns c for every pair
+    of positive finite floats lo < hi. M is the real midpoint (lo + hi) / 2:
+    - hi <= 2*lo: both subtractions are exact (Sterbenz's lemma), so c is
+      the last float at or below M, and u is M rounded.
+    - hi > 2*lo: hi - u is exact near M, so c is the last float at or below
+      M + g/8, ties to even, where g is the float grid of hi - lo. u is
+      within g/4 of M before its own rounding, so it rounds to c or the
+      float above it wherever the float spacing s at M is at least g. In
+      the one tight case, s = g/2, the tie at M + g/8 in the test and the
+      tie in rounding u resolve the same way by parity.
     """
     u = lo + (hi - lo) / 2
-    while not u - lo <= hi - u:
-        u = nextafter(u, lo)
-    while (v := nextafter(u, hi)) - lo <= hi - v:
-        u = v
-    return u
+    return u if u - lo <= hi - u else nextafter(u, lo)
 
 
 class FrequencySet(Checked, _Ladder):
@@ -90,7 +96,7 @@ class FrequencySet(Checked, _Ladder):
         return self.levels[bisect_left(self.cuts, u)]
 
 
-def check_frequency(phi: float, omega: FrequencySet) -> None:
+def check_frequency(phi: float, omega: Container[float]) -> None:
     """Reject a frequency that is not positive and finite, or not legal in omega."""
     # bool is an int, and True == 1.0 would pass as a 1 GHz level.
     if not (isinstance(phi, (int, float)) and not isinstance(phi, bool)

@@ -119,12 +119,12 @@ class Plant:
         self._cap, self._r_th = params.cap, params.r_th
         self._t_amb, self._tau = params.t_amb, params.tau_th
         self.profile = profile
-        self.omega = omega
         check_frequency(u0, omega)
-        # Every level's coefficients, computed once. beta falls as phi rises
-        # (see _freq_coefficients), also in floats, as each operation rounds
-        # monotonically: the top level runs away first, so computing it first
-        # makes a runaway error name it.
+        # Every level's coefficients, computed once; the table's keys are the
+        # ladder that apply_frequency checks a command against. beta falls as
+        # phi rises (see _freq_coefficients), also in floats, as each
+        # operation rounds monotonically: the top level runs away first, so
+        # computing it first makes a runaway error name it.
         self._level_parts = {level: _freq_coefficients(params, level)
                              for level in reversed(omega.levels)}
         self.freq = u0
@@ -161,7 +161,7 @@ class Plant:
         else:
             part = None
         if part is None:
-            check_frequency(phi, self.omega)
+            check_frequency(phi, self._level_parts)
             part = self._level_parts[phi]
         self.freq = phi
         self._freq_part = part

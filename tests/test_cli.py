@@ -49,6 +49,18 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg)) == 0
         assert len(read_csv(str(out))) == 40
 
+    def test_config_file_with_byte_order_mark_reads_as_without(self, tmp_path, capsys):
+        text = f"target_w = 30\nduration_ms = 400\nout_path = {tmp_path / 'trace.csv'}\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for cfg in (plain, marked):
+            assert run_cli("run", "--config", str(cfg)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+
     def test_set_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("duration_ms = 400\n")

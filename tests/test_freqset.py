@@ -96,6 +96,11 @@ def probe_commands(levels, extra):
        extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
 @example(levels=list(DEFAULT_LEVELS), extra=[-1.0, 0.0, 100.0])
 @example(levels=[1.0, 2.0, 1.8014398509481988e+16], extra=[])  # brute force differs here
+# The float spacing at the midpoint is half the grid of hi - lo, so the
+# midpoint is one float above the cut.
+@example(levels=[float.fromhex("0x1.0000000000002p-2"), 1.5], extra=[])
+@example(levels=[float.fromhex("0x1.0000000000005p-2"), 1.5], extra=[])
+@example(levels=[5e-324, 1.5e-323, 1e-300, 1e300], extra=[])  # subnormal and wide pairs
 def test_project_is_monotone(levels, extra):
     fs = FrequencySet.from_list(levels)
     commands = probe_commands(fs.levels, extra)
